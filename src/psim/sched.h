@@ -1,11 +1,13 @@
 // Cooperative rank scheduler.
 //
-// Message-passing ranks execute on carrier threads, but exactly one runs at
-// any instant; a rank yields only when it blocks on a communication
-// condition. The scheduler always resumes the runnable rank with the
-// smallest virtual clock, so simulated executions are deterministic and
-// message completion times are exact (a receive can only complete once the
-// matching send has been posted).
+// Message-passing ranks execute as user-space fibers (ucontext) on one
+// carrier thread per run, so exactly one runs at any instant; a rank yields
+// only when it blocks on a communication condition, which is a plain
+// swapcontext back to the scheduling loop. The loop always resumes the
+// runnable rank with the smallest virtual clock, so simulated executions are
+// deterministic and message completion times are exact (a receive can only
+// complete once the matching send has been posted). A 1-rank run calls its
+// body directly on the carrier, with no fiber.
 //
 // Blocking is event-driven: a rank that cannot make progress registers
 // itself on a wake list owned by the subsystem it waits on (the fabric keys
@@ -15,7 +17,16 @@
 // the ready-heap pop plus O(woken) for the event — independent of how many
 // ranks sit idle. Deadlocks (all ranks blocked) and virtual-time watchdog
 // trips are detected and reported as structured VmErrors (see failure.h)
-// rather than hanging.
+// rather than hanging; when a run fails, the loop resumes every parked
+// fiber once so it rethrows from block() and unwinds on its own stack.
+//
+// Each fiber stack is an mmap'd region the size of a default thread stack
+// (RLIMIT_STACK, 8 MiB when unlimited) whose lowest page is a PROT_NONE
+// guard, so an overflow faults as it would on an OS thread. Ranks must not
+// block() inside a catch handler: the caught-exception stack is per thread,
+// and fibers share one. The carrier is a fresh thread rather than the
+// caller's so each run's allocations stay out of the caller's malloc arena
+// (DESIGN.md §12 has the measurement).
 #pragma once
 
 #include <cstdint>
@@ -59,7 +70,7 @@ class CoopScheduler {
   /// wake(rank) (or the run aborts, in which case the pending error is
   /// rethrown here). The caller must have registered itself on the wake list
   /// of the event it waits for *before* blocking — the scheduler polls
-  /// nothing on its behalf.
+  /// nothing on its behalf. Must not be called inside a catch handler.
   void block(int rank);
 
   /// Called from inside the running rank: moves a Blocked `rank` back to
@@ -71,7 +82,7 @@ class CoopScheduler {
   /// other live rank observes `e` (blocked ranks rethrow it from block();
   /// not-yet-started ranks never run); the caller is expected to throw `e`'s
   /// exception itself right after. Used by the checkpoint/restart machinery
-  /// to unwind all carrier threads to a clean state before a rollback.
+  /// to unwind every rank's fiber to a clean state before a rollback.
   void abortAll(std::exception_ptr e);
 
   /// Telemetry of the most recent run() (valid after run returns or throws).

@@ -153,7 +153,7 @@ void Machine::fireKill(int rank, double clock) {
   stats_.faultsInjected++;
   RankKillSignal sig{rank, clock,
                      killCursor_[static_cast<std::size_t>(rank)]};
-  // Coordinated abort: every carrier thread unwinds with the same signal so
+  // Coordinated abort: every rank's fiber unwinds with the same signal so
   // the whole machine reaches a clean state before the rollback.
   sched_.abortAll(std::make_exception_ptr(sig));
   throw sig;

@@ -313,6 +313,10 @@ struct LuleshVariant {
   bool jlite;
 };
 
+// Print a variant by name: gtest's default byte dump would put the string
+// pointer (an ASLR-dependent address) into the listed test name.
+void PrintTo(const LuleshVariant& v, std::ostream* os) { *os << v.name; }
+
 class LuleshEngineSweepP : public ::testing::TestWithParam<LuleshVariant> {};
 
 TEST_P(LuleshEngineSweepP, EnginesAndSchedulesAgree) {
@@ -375,6 +379,8 @@ struct BudeVariant {
   apps::minibude::Config::Par par;
   bool jlite;
 };
+
+void PrintTo(const BudeVariant& v, std::ostream* os) { *os << v.name; }
 
 class BudeEngineSweepP : public ::testing::TestWithParam<BudeVariant> {};
 

@@ -3,6 +3,18 @@
 
 #include "tests/test_util.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define PARAD_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PARAD_TEST_ASAN 1
+#endif
+#endif
+#ifdef PARAD_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+#endif
+
 using namespace parad;
 using namespace parad::test;
 using ir::Type;
@@ -348,3 +360,240 @@ TEST(Psim, IrecvRejectsNegativeCountAndOverflow) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Scheduler: ranks are fibers on one carrier thread per run.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Counts its destructions: proves a parked rank's frames were unwound.
+struct UnwindProbe {
+  int* count;
+  ~UnwindProbe() { ++*count; }
+};
+
+}  // namespace
+
+TEST(Psim, FailedRunUnwindsEveryBlockedRank) {
+  // Ranks 0..R-2 park in block() with a live RAII object on their stacks;
+  // the last rank then fails. Every parked rank must rethrow from block()
+  // and run its destructors, for an application error (the others see the
+  // consequent deadlock) and for a coordinated abortAll alike.
+  const int R = 6;
+  auto clock = [](int) { return 0.0; };
+  for (bool viaAbort : {false, true}) {
+    SCOPED_TRACE(viaAbort ? "abortAll" : "app error");
+    psim::CoopScheduler s;
+    int unwound = 0, rethrown = 0;
+    auto body = [&](int r) {
+      UnwindProbe probe{&unwound};
+      if (r < R - 1) {
+        try {
+          s.block(r);
+        } catch (...) {
+          ++rethrown;
+          throw;
+        }
+        FAIL() << "rank " << r << " resumed without a wake";
+      }
+      auto e = std::make_exception_ptr(Error("rank " + std::to_string(r) +
+                                             " failed"));
+      if (viaAbort) s.abortAll(e);
+      std::rethrow_exception(e);
+    };
+    try {
+      s.run(R, body, clock);
+      FAIL() << "expected the failing rank's error";
+    } catch (const psim::VmError& e) {
+      FAIL() << "a consequent deadlock report won: " << e.what();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("rank 5 failed"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(rethrown, R - 1);
+    EXPECT_EQ(unwound, R);
+  }
+}
+
+TEST(Psim, MachineReusableAfterFailedMultiRankRun) {
+  // A 4-rank run where rank 3 throws while ranks 0..2 wait on receives that
+  // never come; the same Machine then runs a clean exchange correctly.
+  const i64 N = 4;
+  psim::Machine m;
+  std::vector<psim::RtPtr> recv(4);
+  for (auto& p : recv) p = m.mem().alloc(Type::F64, N, 0);
+  EXPECT_THROW(m.run({4, 1},
+                     [&](psim::RankEnv& env) {
+                       if (env.rank == 3) fail("rank 3 gives up");
+                       m.fabric()->recv(env.rank, env.main,
+                                        recv[(std::size_t)env.rank], N,
+                                        /*src=*/3, /*tag=*/1);
+                     }),
+               Error);
+  const std::uint64_t msgsBefore = m.stats().messages;
+  std::vector<double> payload = {1, 2, 3, 4};
+  double makespan = m.run({4, 1}, [&](psim::RankEnv& env) {
+    psim::Fabric& f = *m.fabric();
+    if (env.rank == 3) {
+      for (int d = 0; d < 3; ++d)
+        f.send(3, env.main, payload.data(), N, d, /*tag=*/1);
+    } else {
+      f.recv(env.rank, env.main, recv[(std::size_t)env.rank], N, 3, 1);
+    }
+  });
+  EXPECT_GT(makespan, 0.0);
+  EXPECT_EQ(m.stats().messages - msgsBefore, 3u);
+  for (int r = 0; r < 3; ++r)
+    EXPECT_EQ(readF64(m, recv[(std::size_t)r], N), payload);
+}
+
+TEST(Psim, DeepRecursionFitsOnFiberStacks) {
+  // Both ranks of a 2-rank run recurse to the default call-depth limit and
+  // park in a barrier at the bottom, so both fiber stacks are at full depth
+  // at once.
+  ir::Module mod;
+  {
+    // Placeholder so the self-recursive call below can resolve its return
+    // type while "rec" is still being (re)built.
+    ir::FunctionBuilder b(mod, "rec", {Type::I64}, Type::I64);
+    b.ret(b.constI(0));
+    b.finish();
+  }
+  ir::FunctionBuilder b(mod, "rec", {Type::I64}, Type::I64);
+  auto n = b.param(0);
+  auto out = b.alloc(b.constI(1), Type::I64);
+  b.emitIf(
+      b.igt(n, b.constI(0)),
+      [&] {
+        auto r = b.call("rec", {b.isub(n, b.constI(1))});
+        b.store(out, b.constI(0), b.iadd(r, b.constI(1)));
+      },
+      [&] {
+        b.mpBarrier();
+        b.store(out, b.constI(0), b.constI(0));
+      });
+  b.ret(b.load(out, b.constI(0)));
+  b.finish();
+  ir::verify(mod);
+
+  for (const char* e : {"exec", "tree", "codegen"}) {
+    SCOPED_TRACE(e);
+    psim::Machine m;
+    const i64 depth = m.config().maxCallDepth - 1;  // deepest admitted
+    std::vector<i64> got(2, -1);
+    m.run({2, 1}, [&](psim::RankEnv& env) {
+      interp::Interpreter it(mod, m, e);
+      got[(std::size_t)env.rank] =
+          it.run(mod.get("rec"), {interp::RtVal::I(depth)}, env).u.i;
+    });
+    EXPECT_EQ(got, std::vector<i64>(2, depth));
+    // One level deeper trips the limit: the run above reached it.
+    try {
+      m.run({2, 1}, [&](psim::RankEnv& env) {
+        interp::Interpreter it(mod, m, e);
+        it.run(mod.get("rec"), {interp::RtVal::I(depth + 1)}, env);
+      });
+      FAIL() << "expected the call-depth limit to fire";
+    } catch (const Error& ex) {
+      EXPECT_NE(std::string(ex.what()).find("call depth limit exceeded"),
+                std::string::npos)
+          << ex.what();
+    }
+  }
+}
+
+TEST(Psim, RingExchangeAt4096Ranks) {
+  // A nonblocking ring over 4096 ranks: every value arrives, and the
+  // scheduling trace (picks and per-rank wakes) is exactly the one the
+  // (clock, rank) pick order implies.
+  const int R = 4096;
+  const i64 N = 2;
+  psim::Machine m;
+  std::vector<psim::RtPtr> recv(R);
+  for (auto& p : recv) p = m.mem().alloc(Type::F64, N, 0);
+  m.run({R, 1}, [&](psim::RankEnv& env) {
+    psim::Fabric& f = *m.fabric();
+    const int r = env.rank;
+    double payload[N] = {static_cast<double>(r), -static_cast<double>(r)};
+    psim::ReqId rq = f.irecv(r, env.main, recv[(std::size_t)r], N,
+                             (r + R - 1) % R, /*tag=*/7);
+    psim::ReqId sq = f.isend(r, env.main, payload, N, (r + 1) % R, 7);
+    f.wait(r, env.main, rq);
+    f.wait(r, env.main, sq);
+  });
+  for (int r = 0; r < R; ++r) {
+    const double left = static_cast<double>((r + R - 1) % R);
+    ASSERT_EQ(readF64(m, recv[(std::size_t)r], N),
+              (std::vector<double>{left, -left}))
+        << "rank " << r;
+  }
+  EXPECT_EQ(m.stats().messages, static_cast<std::uint64_t>(R));
+  const psim::CoopScheduler::Telemetry& t = m.sched().lastRunTelemetry();
+  // Ranks run in index order; each finds its left neighbour's message
+  // already buffered except rank 0, which parks until rank R-1 sends: one
+  // pick per rank plus one resume of rank 0.
+  EXPECT_EQ(t.steps, static_cast<std::uint64_t>(R + 1));
+  ASSERT_EQ(t.wakes.size(), static_cast<std::size_t>(R));
+  EXPECT_EQ(t.wakes[0], 1u);
+  for (int r = 1; r < R; ++r)
+    EXPECT_EQ(t.wakes[(std::size_t)r], 0u) << "rank " << r;
+}
+
+TEST(Psim, BlockAndWakeOutsideARunAreDiagnosed) {
+  psim::CoopScheduler s;
+  EXPECT_THROW(s.block(0), Error);
+  EXPECT_THROW(s.wake(0), Error);
+  EXPECT_THROW(s.abortAll(nullptr), Error);
+}
+
+TEST(Psim, BlockInsideCatchHandlerIsRejected) {
+  // Fibers share one thread's caught-exception stack, so a rank may not
+  // park inside a catch handler.
+  psim::CoopScheduler s;
+  EXPECT_THROW(s.run(
+                   2,
+                   [&](int r) {
+                     try {
+                       throw std::runtime_error("handled");
+                     } catch (const std::runtime_error&) {
+                       s.block(r);
+                     }
+                   },
+                   [](int) { return 0.0; }),
+               Error);
+}
+
+#ifdef PARAD_TEST_ASAN
+TEST(Psim, FinishedFiberStacksLeaveNoPoison) {
+  // A finished fiber abandons its last frames; their ASan redzones must not
+  // outlive the unmapped stack, or whatever maps those addresses next
+  // (here: fresh mappings of a fiber stack's size) reads as poisoned.
+  const int R = 16;
+  psim::Machine m;
+  std::vector<psim::RtPtr> recv(R);
+  for (auto& p : recv) p = m.mem().alloc(Type::F64, 1, 0);
+  std::vector<double> one(1, 1.0);
+  auto body = [&](psim::RankEnv& env) {
+    m.fabric()->allreduce(env.rank, env.main, ir::ReduceKind::Sum, one.data(),
+                          recv[(std::size_t)env.rank], 1);
+  };
+  m.run({R, 1}, body);
+  EXPECT_THROW(m.run({R, 1},
+                     [&](psim::RankEnv& env) {
+                       if (env.rank == R - 1) fail("rank gives up");
+                       body(env);
+                     }),
+               Error);
+  const std::size_t bytes = (std::size_t{8} << 20) + 4096;
+  std::vector<void*> maps;
+  for (int i = 0; i < 2 * R; ++i) {
+    void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    ASSERT_NE(p, MAP_FAILED);
+    maps.push_back(p);
+    EXPECT_EQ(__asan_region_is_poisoned(p, bytes), nullptr) << "mapping " << i;
+  }
+  for (void* p : maps) munmap(p, bytes);
+}
+#endif
