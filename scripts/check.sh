@@ -27,6 +27,11 @@
 #                                      # sweeps + durable columns of the
 #                                      # checkpoint bench. Composes with
 #                                      # SANITIZE=1 (runs in the ASan dir)
+#   BENCH=1 ./scripts/check.sh         # the repository benchmark's
+#                                      # correctness gate only: perfbench
+#                                      # self-test, then a short run of each
+#                                      # BENCHMARK.json workload (oracles +
+#                                      # exact-count fingerprint)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,6 +78,22 @@ if [[ "${SOAK:-0}" == "1" ]]; then
   cmake --build "$BUILD_DIR" -j "$JOBS"
   PARAD_SOAK=1 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
     -R '^(ServeSoak|ServeRobust|BoundedQueue)\.'
+  exit 0
+fi
+
+if [[ "${BENCH:-0}" == "1" ]]; then
+  # Benchmark lane: perfbench builds its own copy of the library (under
+  # $CARGO_TARGET_DIR, default .bench_build). The self-test must flag one
+  # perturbed gradient element per workload; each short run must verify every
+  # op against its oracle and match perfbench/fingerprint.json (IR inst
+  # counts, lowered bytes, virtual ns, plan counts). run.py exits non-zero
+  # otherwise. Timings are not gated here.
+  python3 perfbench/run.py --self-test
+  for workload in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 \
+      --trace 0
+  done
   exit 0
 fi
 

@@ -23,6 +23,7 @@
 #include "src/interp/backend.h"
 #include "src/interp/codegen_abi.h"
 #include "src/interp/exec.h"
+#include "src/support/bytes.h"
 #include "src/support/common.h"
 
 namespace parad::interp {
@@ -788,17 +789,11 @@ struct CodegenCache::Impl {
 
   std::size_t memCap() const {
     if (cfg.memCapacityBytes != 0) return cfg.memCapacityBytes;
-    if (const char* e = std::getenv("PARAD_CODEGEN_MEM_BYTES");
-        e != nullptr && *e)
-      return static_cast<std::size_t>(std::strtoull(e, nullptr, 10));
-    return 0;
+    return envByteSize("PARAD_CODEGEN_MEM_BYTES");
   }
   std::size_t diskCap() const {
     if (cfg.diskCapacityBytes != 0) return cfg.diskCapacityBytes;
-    if (const char* e = std::getenv("PARAD_CODEGEN_DISK_BYTES");
-        e != nullptr && *e)
-      return static_cast<std::size_t>(std::strtoull(e, nullptr, 10));
-    return 0;
+    return envByteSize("PARAD_CODEGEN_DISK_BYTES");
   }
   // Inserts (or refreshes) an artifact and applies the memory byte cap; the
   // fresh entry always survives. Caller holds `mu`. Dropped artifacts keep

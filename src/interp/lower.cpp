@@ -5,6 +5,8 @@
 #include <cstring>
 #include <deque>
 
+#include "src/support/bytes.h"
+
 namespace parad::interp {
 
 using ir::Op;
@@ -384,15 +386,12 @@ std::size_t execModuleBytes(const ExecModule& xm) {
 
 ProgramCache& ProgramCache::global() {
   static ProgramCache cache;
-  if (const char* env = std::getenv("PARAD_PROGRAM_CACHE_BYTES")) {
-    static std::once_flag once;
-    std::call_once(once, [&] {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0')
-        cache.setCapacityBytes(static_cast<std::size_t>(v));
-    });
-  }
+  // A malformed value throws here, and again on every later call: the
+  // process never runs with a cap it did not ask for.
+  static std::once_flag once;
+  std::call_once(once, [] {
+    cache.setCapacityBytes(envByteSize("PARAD_PROGRAM_CACHE_BYTES"));
+  });
   return cache;
 }
 

@@ -7,6 +7,14 @@
 namespace parad::ir {
 namespace {
 
+// Fails verification with the message pieces `...`, which are evaluated only
+// when `cond` is false: the verifier runs after every pass, and on valid IR
+// it must neither format nor allocate.
+#define VERIFY(cond, ...)          \
+  do {                             \
+    if (!(cond)) die(__VA_ARGS__); \
+  } while (0)
+
 class Verifier {
  public:
   Verifier(const Module& mod, const Function& fn) : mod_(mod), fn_(fn) {}
@@ -17,50 +25,47 @@ class Verifier {
                 "param count mismatch in ", fn_.name);
     for (std::size_t i = 0; i < fn_.body.args.size(); ++i) {
       define(fn_.body.args[i]);
-      check(fn_.typeOf(fn_.body.args[i]) == fn_.paramTypes[i],
-            "param type mismatch");
+      VERIFY(fn_.typeOf(fn_.body.args[i]) == fn_.paramTypes[i],
+             "param type mismatch");
     }
     checkRegion(fn_.body, /*inFork=*/false, /*inParallel=*/false,
                 /*isWhileBody=*/false, /*isForkBody=*/false);
   }
 
  private:
-  [[noreturn]] void die(const std::string& msg) {
-    fail("verifier: function @", fn_.name, ": ", msg);
-  }
-  void check(bool cond, const std::string& msg) {
-    if (!cond) die(msg);
+  template <typename... Args>
+  [[noreturn]] void die(const Args&... msg) {
+    fail("verifier: function @", fn_.name, ": ", msg...);
   }
   void define(int v) {
-    check(v >= 0 && v < fn_.numValues(), "value id out of range");
-    check(!defined_[static_cast<std::size_t>(v)], "value defined twice");
+    VERIFY(v >= 0 && v < fn_.numValues(), "value id out of range");
+    VERIFY(!defined_[static_cast<std::size_t>(v)], "value defined twice");
     defined_[static_cast<std::size_t>(v)] = true;
   }
   Type use(int v) {
-    check(v >= 0 && v < fn_.numValues(), "operand id out of range");
-    check(defined_[static_cast<std::size_t>(v)],
-          "use of value %" + std::to_string(v) + " before definition");
+    VERIFY(v >= 0 && v < fn_.numValues(), "operand id out of range");
+    VERIFY(defined_[static_cast<std::size_t>(v)], "use of value %", v,
+           " before definition");
     return fn_.typeOf(v);
   }
   void expect(const Inst& in, std::size_t i, Type t) {
-    check(i < in.operands.size(),
-          std::string("missing operand for ") + traits(in.op).name);
+    VERIFY(i < in.operands.size(), "missing operand for ",
+           traits(in.op).name);
     Type got = use(in.operands[i]);
-    check(got == t, std::string(traits(in.op).name) + ": operand " +
-                        std::to_string(i) + " has type " + typeName(got) +
-                        ", expected " + typeName(t));
+    VERIFY(got == t, traits(in.op).name, ": operand ", i, " has type ",
+           typeName(got), ", expected ", typeName(t));
   }
   void expectPtr(const Inst& in, std::size_t i) {
-    check(i < in.operands.size(), "missing pointer operand");
-    check(isPtr(use(in.operands[i])), "expected pointer operand");
+    VERIFY(i < in.operands.size(), "missing pointer operand");
+    VERIFY(isPtr(use(in.operands[i])), "expected pointer operand");
   }
   void expectCount(const Inst& in, std::size_t n) {
-    check(in.operands.size() == n,
-          std::string(traits(in.op).name) + ": wrong operand count");
+    VERIFY(in.operands.size() == n, traits(in.op).name,
+           ": wrong operand count");
   }
   void expectResult(const Inst& in, Type t) {
-    check(in.result >= 0, "missing result");
-    check(fn_.typeOf(in.result) == t, "result type mismatch");
+    VERIFY(in.result >= 0, "missing result");
+    VERIFY(fn_.typeOf(in.result) == t, "result type mismatch");
   }
 
   void checkRegion(const Region& r, bool inFork, bool inParallel,
@@ -72,15 +77,15 @@ class Verifier {
                 /*topOfForkBody=*/isForkBody);
     }
     if (isWhileBody)
-      check(!r.insts.empty() && r.insts.back().op == Op::Yield,
-            "while body must end in yield");
+      VERIFY(!r.insts.empty() && r.insts.back().op == Op::Yield,
+             "while body must end in yield");
   }
 
   void checkInst(const Inst& in, bool inFork, bool inParallel,
                  bool mayBeYield, bool topOfForkBody) {
-    check(in.regions.size() ==
-              static_cast<std::size_t>(traits(in.op).numRegions),
-          std::string(traits(in.op).name) + ": wrong region count");
+    VERIFY(in.regions.size() ==
+               static_cast<std::size_t>(traits(in.op).numRegions),
+           traits(in.op).name, ": wrong region count");
     switch (in.op) {
       case Op::ConstF:
       case Op::ConstI:
@@ -136,7 +141,7 @@ class Verifier {
         expectCount(in, 3);
         expect(in, 0, Type::I1);
         Type a = use(in.operands[1]), b = use(in.operands[2]);
-        check(a == b, "select arm type mismatch");
+        VERIFY(a == b, "select arm type mismatch");
         expectResult(in, a);
         break;
       }
@@ -154,8 +159,8 @@ class Verifier {
         expectCount(in, 1);
         expect(in, 0, Type::I64);
         Type elem = static_cast<Type>(in.iconst);
-        check(elem == Type::F64 || elem == Type::I64 || elem == Type::PtrF64,
-              "alloc: bad element type");
+        VERIFY(elem == Type::F64 || elem == Type::I64 || elem == Type::PtrF64,
+               "alloc: bad element type");
         expectResult(in, ptrTo(elem));
         break;
       }
@@ -193,17 +198,17 @@ class Verifier {
         expect(in, 1, Type::I64);
         break;
       case Op::Call: {
-        check(mod_.has(in.sym), "call to unknown function @" + in.sym);
+        VERIFY(mod_.has(in.sym), "call to unknown function @", in.sym);
         const Function& callee = mod_.get(in.sym);
-        check(in.operands.size() == callee.paramTypes.size(),
-              "call @" + in.sym + ": wrong argument count");
+        VERIFY(in.operands.size() == callee.paramTypes.size(), "call @",
+               in.sym, ": wrong argument count");
         for (std::size_t i = 0; i < in.operands.size(); ++i)
           expect(in, i, callee.paramTypes[i]);
         if (callee.retType != Type::Void) expectResult(in, callee.retType);
         break;
       }
       case Op::CallIndirect:
-        check(!in.operands.empty(), "call.indirect: missing address");
+        VERIFY(!in.operands.empty(), "call.indirect: missing address");
         expect(in, 0, Type::I64);
         for (std::size_t i = 1; i < in.operands.size(); ++i)
           use(in.operands[i]);
@@ -222,32 +227,33 @@ class Verifier {
         expectCount(in, 2);
         expect(in, 0, Type::I64);
         expect(in, 1, Type::I64);
-        check(in.regions[0].args.size() == 1, "loop region needs 1 arg");
+        VERIFY(in.regions[0].args.size() == 1, "loop region needs 1 arg");
         if (in.op == Op::Workshare)
-          check(inFork, "workshare outside fork");
+          VERIFY(inFork, "workshare outside fork");
         break;
       case Op::While:
         expectCount(in, 0);
-        check(in.regions[0].args.size() == 1, "while region needs 1 arg");
+        VERIFY(in.regions[0].args.size() == 1, "while region needs 1 arg");
         break;
       case Op::Yield:
-        check(mayBeYield, "yield must be the last inst of a while body");
+        VERIFY(mayBeYield, "yield must be the last inst of a while body");
         expectCount(in, 1);
         expect(in, 0, Type::I1);
         break;
       case Op::If:
         expectCount(in, 1);
         expect(in, 0, Type::I1);
-        check(in.regions[0].args.empty() && in.regions[1].args.empty(),
-              "if regions take no args");
+        VERIFY(in.regions[0].args.empty() && in.regions[1].args.empty(),
+               "if regions take no args");
         break;
       case Op::Fork:
         expectCount(in, 1);
         expect(in, 0, Type::I64);
-        check(in.regions[0].args.size() == 1, "fork region needs 1 arg (tid)");
+        VERIFY(in.regions[0].args.size() == 1, "fork region needs 1 arg (tid)");
         break;
       case Op::BarrierOp:
-        check(topOfForkBody, "barrier only allowed at top level of a fork body");
+        VERIFY(topOfForkBody,
+               "barrier only allowed at top level of a fork body");
         expectCount(in, 0);
         break;
       case Op::ThreadIdOp:
@@ -257,7 +263,7 @@ class Verifier {
         break;
       case Op::Spawn:
         expectCount(in, 0);
-        check(in.regions[0].args.empty(), "spawn region takes no args");
+        VERIFY(in.regions[0].args.empty(), "spawn region takes no args");
         expectResult(in, Type::Task);
         break;
       case Op::SyncOp:
@@ -268,7 +274,7 @@ class Verifier {
       case Op::MpSize:
         expectCount(in, 0);
         expectResult(in, Type::I64);
-        check(!inFork && !inParallel, "mp op inside a shared-memory region");
+        VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
         break;
       case Op::MpIsend:
       case Op::MpIrecv:
@@ -278,7 +284,7 @@ class Verifier {
         expect(in, 2, Type::I64);
         expect(in, 3, Type::I64);
         expectResult(in, Type::Req);
-        check(!inFork && !inParallel, "mp op inside a shared-memory region");
+        VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
         break;
       case Op::MpSend:
       case Op::MpRecv:
@@ -287,34 +293,34 @@ class Verifier {
         expect(in, 1, Type::I64);
         expect(in, 2, Type::I64);
         expect(in, 3, Type::I64);
-        check(!inFork && !inParallel, "mp op inside a shared-memory region");
+        VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
         break;
       case Op::MpWaitOp:
         expectCount(in, 1);
         expect(in, 0, Type::Req);
-        check(!inFork && !inParallel, "mp op inside a shared-memory region");
+        VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
         break;
       case Op::MpAllreduce:
         // Optional 4th operand: ptr<i64> receiving the per-element winning
         // rank for min/max (used by the AD engine to route adjoints).
-        check(in.operands.size() == 3 || in.operands.size() == 4,
-              "mp.allreduce: wrong operand count");
+        VERIFY(in.operands.size() == 3 || in.operands.size() == 4,
+               "mp.allreduce: wrong operand count");
         expect(in, 0, Type::PtrF64);
         expect(in, 1, Type::PtrF64);
         expect(in, 2, Type::I64);
         if (in.operands.size() == 4) expect(in, 3, Type::PtrI64);
-        check(in.iconst >= 0 && in.iconst <= 2, "bad reduce kind");
-        check(!inFork && !inParallel, "mp op inside a shared-memory region");
+        VERIFY(in.iconst >= 0 && in.iconst <= 2, "bad reduce kind");
+        VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
         break;
       case Op::MpBarrier:
         expectCount(in, 0);
-        check(!inFork && !inParallel, "mp op inside a shared-memory region");
+        VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
         break;
       case Op::OmpParallelFor: {
-        check(in.omp != nullptr, "omp.parallel.for missing clause info");
+        VERIFY(in.omp != nullptr, "omp.parallel.for missing clause info");
         std::size_t expected = 2 + in.omp->clauses.size() +
                                (in.omp->numThreadsOperand >= 0 ? 1 : 0);
-        check(in.operands.size() == expected, "omp operand count mismatch");
+        VERIFY(in.operands.size() == expected, "omp operand count mismatch");
         expect(in, 0, Type::I64);
         expect(in, 1, Type::I64);
         for (std::size_t i = 0; i < in.omp->clauses.size(); ++i) {
@@ -331,8 +337,8 @@ class Verifier {
               break;
           }
         }
-        check(in.regions[0].args.size() == 1 + in.omp->clauses.size(),
-              "omp region arg count mismatch");
+        VERIFY(in.regions[0].args.size() == 1 + in.omp->clauses.size(),
+               "omp region arg count mismatch");
         break;
       }
       case Op::JlAllocArray:
@@ -356,25 +362,25 @@ class Verifier {
     bool fork = (inFork && !resetsFork) || in.op == Op::Fork;
     bool par = inParallel || in.op == Op::Fork || in.op == Op::ParallelFor ||
                in.op == Op::Spawn || in.op == Op::OmpParallelFor;
+    // Loop-like regions take the i64 induction variable (or thread id);
+    // an omp.parallel.for body also takes one ptr<f64> slot per clause.
+    std::size_t numArgs = 0;
+    switch (in.op) {
+      case Op::For: case Op::Workshare: case Op::ParallelFor:
+      case Op::Fork: case Op::While:
+        numArgs = 1;
+        break;
+      case Op::OmpParallelFor:
+        numArgs = 1 + in.omp->clauses.size();
+        break;
+      default: break;
+    }
     for (const Region& reg : in.regions) {
-      std::vector<Type> expectedArgs;
-      switch (in.op) {
-        case Op::For: case Op::Workshare: case Op::ParallelFor:
-        case Op::Fork: case Op::While:
-          expectedArgs = {Type::I64};
-          break;
-        case Op::OmpParallelFor: {
-          expectedArgs.push_back(Type::I64);
-          for (std::size_t i = 0; i < in.omp->clauses.size(); ++i)
-            expectedArgs.push_back(Type::PtrF64);
-          break;
-        }
-        default: break;
-      }
-      check(reg.args.size() == expectedArgs.size(), "region arg count");
+      VERIFY(reg.args.size() == numArgs, "region arg count");
       for (std::size_t i = 0; i < reg.args.size(); ++i) {
         define(reg.args[i]);
-        check(fn_.typeOf(reg.args[i]) == expectedArgs[i], "region arg type");
+        VERIFY(fn_.typeOf(reg.args[i]) == (i == 0 ? Type::I64 : Type::PtrF64),
+               "region arg type");
       }
       // Values defined inside a nested region stay defined afterwards for the
       // purposes of this simple verifier; the interpreter's frame layout makes
@@ -389,6 +395,8 @@ class Verifier {
   const Function& fn_;
   std::vector<bool> defined_;
 };
+
+#undef VERIFY
 
 }  // namespace
 

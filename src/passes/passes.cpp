@@ -354,16 +354,6 @@ bool isLoopLike(Op op) {
          op == Op::Fork || op == Op::While;
 }
 
-void collectDefinedIds(const Inst& in, std::unordered_set<int>& out) {
-  for (const Region& r : in.regions) {
-    for (int a : r.args) out.insert(a);
-    for (const Inst& i : r.insts) {
-      if (i.result >= 0) out.insert(i.result);
-      collectDefinedIds(i, out);
-    }
-  }
-}
-
 bool hoistablePure(Op op) {
   switch (op) {
     case Op::ConstF: case Op::ConstI: case Op::ConstB:
@@ -426,68 +416,95 @@ void summarizeStores(const analysis::FnInfo& info, const Region& r, int depth,
   }
 }
 
-int hoistFromRegion(const analysis::FnInfo& info, const StoreSummary& stores,
-                    Region& parent, int depth, int topPos) {
-  int moved = 0;
-  for (std::size_t i = 0; i < parent.insts.size(); ++i) {
-    int myTop = depth == 0 ? static_cast<int>(i) : topPos;
-    for (Region& sub : parent.insts[i].regions)
-      moved += hoistFromRegion(info, stores, sub, depth + 1, myTop);
-    if (!isLoopLike(parent.insts[i].op)) continue;
-    // ThreadId/NumThreads must not be hoisted out of a Fork.
-    bool isFork = parent.insts[i].op == Op::Fork;
+// One hoisting round. The walk numbers insts and region args in pre-order.
+// The values a loop-like inst defines are its region args and every result
+// nested in it, including those already lifted out of its inner loops; their
+// positions fill the interval that starts just after the loop's own slot. A
+// result hoisted out of the loop takes the loop's own slot: outside the loop,
+// still inside every loop around it. So one dense vector, filled once per
+// round, replaces a set of defined ids per loop.
+struct Hoister {
+  const analysis::FnInfo& info;
+  const StoreSummary& stores;
+  std::vector<int> defPos;  // value id -> pre-order position, -1 if not seen
+  int next = 0;
 
-    std::unordered_set<int> inside;
-    collectDefinedIds(parent.insts[i], inside);
-
-    Region& body = parent.insts[i].regions[0];
-    std::vector<Inst> hoisted, kept;
-    for (Inst& bi : body.insts) {
-      bool ok = bi.regions.empty() && bi.result >= 0;
-      if (ok) {
-        if (hoistablePure(bi.op)) {
-          // fine
-        } else if (bi.op == Op::Load) {
-          std::size_t key = info.ptrClass(bi.operands[0]).key();
-          bool neverWritten =
-              !info.classWritten(info.ptrClass(bi.operands[0]));
-          bool writesAllBefore =
-              info.ptrClass(bi.operands[0]).kind !=
-                  analysis::PtrClass::Kind::Unknown &&
-              !stores.deepWritten.count(key) &&
-              (!stores.lastTopPos.count(key) ||
-               stores.lastTopPos.at(key) < myTop);
-          ok = neverWritten || writesAllBefore;
-        } else if ((bi.op == Op::ThreadIdOp || bi.op == Op::NumThreadsOp) &&
-                   !isFork) {
-          // Thread queries are invariant across loop iterations but not
-          // across fork boundaries.
-        } else {
-          ok = false;
-        }
-      }
-      if (ok)
-        for (int o : bi.operands)
-          if (inside.count(o)) ok = false;
-      if (ok) {
-        inside.erase(bi.result);
-        hoisted.push_back(std::move(bi));
-        ++moved;
-      } else {
-        kept.push_back(std::move(bi));
-      }
+  // May `bi`, in the body of a loop at top-level position `myTop`, run once
+  // before the loop? Its operands are checked separately.
+  bool movable(const Inst& bi, bool loopIsFork, int myTop) const {
+    if (!bi.regions.empty() || bi.result < 0) return false;
+    if (hoistablePure(bi.op)) return true;
+    if (bi.op == Op::Load) {
+      analysis::PtrClass cls = info.ptrClass(bi.operands[0]);
+      std::size_t key = cls.key();
+      bool neverWritten = !info.classWritten(cls);
+      bool writesAllBefore =
+          cls.kind != analysis::PtrClass::Kind::Unknown &&
+          !stores.deepWritten.count(key) &&
+          (!stores.lastTopPos.count(key) || stores.lastTopPos.at(key) < myTop);
+      return neverWritten || writesAllBefore;
     }
-    body.insts = std::move(kept);  // always: insts were moved out above
-    if (!hoisted.empty()) {
-      std::size_t n = hoisted.size();
+    // Thread queries are invariant across loop iterations but not across
+    // fork boundaries.
+    return (bi.op == Op::ThreadIdOp || bi.op == Op::NumThreadsOp) &&
+           !loopIsFork;
+  }
+
+  int hoistFrom(Region& parent, int depth, int topPos) {
+    int moved = 0;
+    for (std::size_t i = 0; i < parent.insts.size(); ++i) {
+      int myTop = depth == 0 ? static_cast<int>(i) : topPos;
+      Inst& in = parent.insts[i];
+      int self = next++;
+      if (in.result >= 0) defPos[(std::size_t)in.result] = self;
+      int begin = next;
+      for (Region& sub : in.regions) {
+        for (int a : sub.args) defPos[(std::size_t)a] = next++;
+        moved += hoistFrom(sub, depth + 1, myTop);
+      }
+      if (!isLoopLike(in.op)) continue;
+      int end = next;
+      auto inside = [&](int v) {
+        int pos = defPos[(std::size_t)v];
+        return pos >= begin && pos < end;
+      };
+
+      // Decide first, in body order, so a chain moves together.
+      Region& body = in.regions[0];
+      std::size_t n = 0;
+      for (const Inst& bi : body.insts) {
+        if (!movable(bi, in.op == Op::Fork, myTop)) continue;
+        bool invariant = true;
+        for (int o : bi.operands) invariant = invariant && !inside(o);
+        if (!invariant) continue;
+        defPos[(std::size_t)bi.result] = self;
+        ++n;
+      }
+      if (n == 0) continue;
+
+      // Partition in order: a result now at the loop's own slot moves out.
+      // The vectors are sized exactly, so the function does not carry the
+      // slack of vectors grown while it was built.
+      std::vector<Inst> hoisted, kept;
+      hoisted.reserve(n);
+      kept.reserve(body.insts.size() - n);
+      for (Inst& bi : body.insts) {
+        if (bi.result >= 0 && defPos[(std::size_t)bi.result] == self)
+          hoisted.push_back(std::move(bi));
+        else
+          kept.push_back(std::move(bi));
+      }
+      body.insts = std::move(kept);
+      parent.insts.reserve(parent.insts.size() + n);
       parent.insts.insert(parent.insts.begin() + (std::ptrdiff_t)i,
                           std::make_move_iterator(hoisted.begin()),
                           std::make_move_iterator(hoisted.end()));
       i += n;
+      moved += static_cast<int>(n);
     }
+    return moved;
   }
-  return moved;
-}
+};
 
 }  // namespace
 
@@ -498,7 +515,8 @@ int hoistInvariants(ir::Module& mod, const std::string& fn) {
     analysis::FnInfo info(f, {});
     StoreSummary stores;
     summarizeStores(info, f.body, 0, 0, stores);
-    int moved = hoistFromRegion(info, stores, f.body, 0, 0);
+    Hoister h{info, stores, std::vector<int>((std::size_t)f.numValues(), -1)};
+    int moved = h.hoistFrom(f.body, 0, 0);
     total += moved;
     if (moved == 0) break;
   }

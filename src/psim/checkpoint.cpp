@@ -8,6 +8,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/support/bytes.h"
+
 namespace parad::psim {
 
 namespace {
@@ -218,9 +220,7 @@ double CheckpointManager::openDurable(int nranks) {
   sc.prefix = "parad_ckpt_";
   sc.kind = kMagic;
   sc.fingerprint = programFp_;
-  if (const char* e = std::getenv("PARAD_CKPT_DISK_BYTES");
-      e != nullptr && *e)
-    sc.capacityBytes = std::strtoull(e, nullptr, 10);
+  sc.capacityBytes = envByteSize("PARAD_CKPT_DISK_BYTES");
   sc.faults.enabled = cfg_.enabled && (cfg_.ioFailRate > 0 ||
                                        cfg_.tornRate > 0 ||
                                        cfg_.ioCorruptRate > 0);

@@ -42,24 +42,6 @@ struct EngineGuard {
 
 constexpr const char* kEngines[] = {"exec", "tree", "codegen"};
 
-/// Sets an environment variable for one scope and restores on exit.
-struct EnvVar {
-  std::string name, saved;
-  bool had;
-  EnvVar(const std::string& n, const std::string& value) : name(n) {
-    const char* old = std::getenv(n.c_str());
-    had = old != nullptr;
-    if (had) saved = old;
-    ::setenv(n.c_str(), value.c_str(), 1);
-  }
-  ~EnvVar() {
-    if (had)
-      ::setenv(name.c_str(), saved.c_str(), 1);
-    else
-      ::unsetenv(name.c_str());
-  }
-};
-
 /// Removes a directory tree on scope exit (test artifact hygiene).
 struct TempDir {
   std::string path;
@@ -430,6 +412,23 @@ TEST(Durable, RestartResumeUnderIoFaultSweep) {
   // not just cold starts on pristine disks.
   EXPECT_GT(warmTotal, 0u);
   EXPECT_GT(writeFails, 0u);
+}
+
+TEST(Durable, MalformedDiskByteCapIsRejected) {
+  // A cap the parser cannot read exactly stops the run: read leniently,
+  // "64MB" would cap the epoch set at 64 bytes.
+  TempDir dir("parad_durable_badcap");
+  psim::MachineConfig dur = cleanConfig(3);
+  dur.ckptDir = dir.path;
+  EnvVar cap("PARAD_CKPT_DISK_BYTES", "64MB");
+  try {
+    runRing(dur, 4, 8);
+    ADD_FAILURE() << "a malformed PARAD_CKPT_DISK_BYTES was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "PARAD_CKPT_DISK_BYTES='64MB' is not a byte size (expected "
+              "decimal digits, optionally followed by K, M or G)");
+  }
 }
 
 TEST(Durable, EpochRetentionUnderDiskByteCap) {

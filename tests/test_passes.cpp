@@ -3,7 +3,16 @@
 // interaction with the AD engine (§V-E).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "src/apps/lulesh/lulesh.h"
+#include "src/apps/minibude/minibude.h"
 #include "src/frontends/omp/omp.h"
+#include "src/io/store.h"
+#include "src/ir/printer.h"
 #include "src/passes/passes.h"
 #include "src/support/rng.h"
 #include "tests/test_util.h"
@@ -106,6 +115,147 @@ TEST(Passes, HoistInvariantsMovesReadonlyLoadOutOfParallelLoop) {
   EXPECT_DOUBLE_EQ(evalScalarFn(mod, "f", {1.5, 2.0, 3.0}), before);
   // The parallel loop body no longer contains the read-only load of x[0].
   expectGradMatchesFD(mod, "f", {1.5, 2.0, 3.0}, 1e-6);
+}
+
+TEST(Passes, HoistInvariantsLiftsDepthThreeChainToTopInOneCall) {
+  // A chain defined in the innermost of three nested loops and depending on
+  // nothing inside them climbs one level per enclosing loop, all within a
+  // single hoistInvariants call.
+  ir::Module mod;
+  ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64});
+  auto p = b.param(0);
+  auto n = b.param(1);
+  b.emitFor(b.constI(0), n, [&](Value) {
+    b.emitFor(b.constI(0), n, [&](Value) {
+      b.emitFor(b.constI(0), n, [&](Value k) {
+        auto c = b.constF(2);
+        auto sq = b.fmul(c, c);
+        b.store(p, k, b.fadd(sq, c));
+      });
+    });
+  });
+  b.ret();
+  b.finish();
+  ir::verify(mod);
+
+  EXPECT_EQ(passes::hoistInvariants(mod, "f"), 12);
+  // Every loop body keeps only what depends on its induction variable: the
+  // next loop, or the store.
+  const ir::Region& top = mod.get("f").body;
+  const ir::Inst* loop = nullptr;
+  for (const ir::Inst& in : top.insts)
+    if (in.op == ir::Op::For) loop = &in;
+  ASSERT_NE(loop, nullptr);
+  for (int depth = 1; depth <= 3; ++depth) {
+    const ir::Region& body = loop->regions[0];
+    ASSERT_EQ(body.insts.size(), 1u) << "depth " << depth;
+    loop = &body.insts[0];
+  }
+  EXPECT_EQ(loop->op, ir::Op::Store);
+  int chainAtTop = 0;
+  for (const ir::Inst& in : top.insts)
+    chainAtTop += in.op == ir::Op::FMul || in.op == ir::Op::FAdd;
+  EXPECT_EQ(chainAtTop, 2);
+  EXPECT_EQ(passes::hoistInvariants(mod, "f"), 0) << "already a fixpoint";
+}
+
+namespace {
+
+std::uint64_t printHash(const ir::Function& fn) {
+  std::string text = ir::print(fn);
+  return io::fnv1a(text.data(), text.size());
+}
+
+// One app variant at the benchmark's compile-sweep size, and what the pass
+// pipeline makes of it. The values were recorded before the verifier and the
+// hoisting pass were rewritten for speed; pass output must not move.
+struct PipelineGolden {
+  const char* name;
+  std::function<ir::Module()> build;
+  const char* primal;
+  std::vector<bool> activeArg;
+  int hoistedPrimal;         // hoistInvariants in prepareForAD
+  int hoistedGrad;           // hoistInvariants in optimizeGradient
+  std::uint64_t primalHash;  // FNV-1a of ir::print, after prepareForAD
+  std::uint64_t gradHash;    // FNV-1a of ir::print, after optimizeGradient
+};
+
+apps::lulesh::Config sweepLulesh(apps::lulesh::Config::Par par, bool mp,
+                                 bool jl) {
+  apps::lulesh::Config c;
+  c.par = par;
+  c.mp = mp;
+  c.jliteMem = jl;
+  c.s = 4;
+  c.rside = mp ? 2 : 1;
+  c.nsteps = 2;
+  c.jlTasks = 4;
+  return c;
+}
+
+}  // namespace
+
+TEST(Passes, PipelineOutputMatchesGolden) {
+  using LPar = apps::lulesh::Config::Par;
+  const std::vector<bool> luleshActive{true, true, true, false, false, false};
+  apps::minibude::Config bude;
+  bude.par = apps::minibude::Config::Par::Omp;
+  bude.poses = 16;
+  bude.ligAtoms = 4;
+  bude.protAtoms = 8;
+  bude.jlTasks = 4;
+  bude.mpRanks = 4;
+  auto lulesh = [](apps::lulesh::Config c) {
+    return [c] { return apps::lulesh::build(c); };
+  };
+  const std::vector<bool> budeActive{true, true, false, true,
+                                     false, false, false};
+  const std::vector<PipelineGolden> cases = {
+      {"lulesh_serial", lulesh(sweepLulesh(LPar::Serial, false, false)),
+       "lulesh", luleshActive, 244, 503, 0x2cb4b2ce92d2c465ull,
+       0xfd2fa316719406e4ull},
+      {"lulesh_omp", lulesh(sweepLulesh(LPar::Omp, false, false)), "lulesh",
+       luleshActive, 374, 865, 0x54ba673fa04dca44ull, 0x251b179103eb9e5aull},
+      {"lulesh_jltasks", lulesh(sweepLulesh(LPar::JliteTasks, false, true)),
+       "lulesh", luleshActive, 929, 2401, 0x8ef0d4e6486fab25ull,
+       0x063fff4a0549fbfdull},
+      {"lulesh_mpi", lulesh(sweepLulesh(LPar::Serial, true, false)), "lulesh",
+       luleshActive, 539, 653, 0x23c4465ea5675fcbull, 0xa0b679deee859d13ull},
+      {"bude_omp", [bude] { return apps::minibude::build(bude); }, "bude",
+       budeActive, 74, 226, 0x047e9bf4a805cd8cull, 0xd92b6f234230afc1ull},
+  };
+  for (const PipelineGolden& g : cases) {
+    SCOPED_TRACE(g.name);
+    core::GradConfig cfg;
+    cfg.activeArg = g.activeArg;
+
+    // The pipelines' steps one by one, to read hoistInvariants' counts.
+    ir::Module mod = g.build();
+    passes::resolveIndirect(mod, g.primal);
+    passes::inlineCalls(mod, g.primal);
+    passes::lowerOmp(mod, g.primal);
+    passes::cleanup(mod, g.primal);
+    int hoistedPrimal = passes::hoistInvariants(mod, g.primal);
+    passes::cleanup(mod, g.primal);
+    core::GradInfo gi = core::generateGradient(mod, g.primal, cfg);
+    passes::cleanup(mod, gi.name);
+    int hoistedGrad = passes::hoistInvariants(mod, gi.name);
+    passes::mergeAdjacentForks(mod, gi.name);
+    passes::cleanup(mod, gi.name);
+    EXPECT_EQ(hoistedPrimal, g.hoistedPrimal);
+    EXPECT_EQ(hoistedGrad, g.hoistedGrad);
+    EXPECT_EQ(printHash(mod.get(g.primal)), g.primalHash);
+    EXPECT_EQ(printHash(mod.get(gi.name)), g.gradHash);
+
+    // The pipelines themselves produce the same functions.
+    ir::Module viaPipeline = g.build();
+    passes::prepareForAD(viaPipeline, g.primal);
+    core::GradInfo gi2 = core::generateGradient(viaPipeline, g.primal, cfg);
+    passes::optimizeGradient(viaPipeline, gi2.name);
+    EXPECT_EQ(ir::print(viaPipeline.get(g.primal)),
+              ir::print(mod.get(g.primal)));
+    EXPECT_EQ(ir::print(viaPipeline.get(gi2.name)), ir::print(mod.get(gi.name)));
+  }
 }
 
 TEST(Passes, OmpOptReducesAdCaching) {

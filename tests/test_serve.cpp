@@ -505,26 +505,7 @@ TEST(CacheConcurrency, HammerSharedAndDistinctFingerprints) {
 // Robustness (DESIGN.md §15): strict knob parsing, deadlines, retries,
 // admission control / load shedding, circuit breaker, bounded registries.
 
-/// Sets one environment variable for the enclosing scope and restores the
-/// previous state on exit (gtest runs tests sequentially, so this cannot race
-/// another test's getenv).
-struct EnvVar {
-  std::string name;
-  std::string saved;
-  bool hadValue;
-  EnvVar(const std::string& n, const std::string& value) : name(n) {
-    const char* old = std::getenv(n.c_str());
-    hadValue = old != nullptr;
-    if (hadValue) saved = old;
-    ::setenv(n.c_str(), value.c_str(), 1);
-  }
-  ~EnvVar() {
-    if (hadValue)
-      ::setenv(name.c_str(), saved.c_str(), 1);
-    else
-      ::unsetenv(name.c_str());
-  }
-};
+using test::EnvVar;
 
 std::string fromEnvError() {
   try {

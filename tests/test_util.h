@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -29,6 +30,27 @@ inline std::string makeTempDir(const std::string& prefix) {
   PARAD_CHECK(made != nullptr, "mkdtemp failed for ", tmpl);
   return made;
 }
+
+/// Sets one environment variable for the enclosing scope and restores the
+/// previous state on exit (gtest runs tests sequentially, so this cannot race
+/// another test's getenv).
+struct EnvVar {
+  std::string name;
+  std::string saved;
+  bool hadValue;
+  EnvVar(const std::string& n, const std::string& value) : name(n) {
+    const char* old = std::getenv(n.c_str());
+    hadValue = old != nullptr;
+    if (hadValue) saved = old;
+    ::setenv(n.c_str(), value.c_str(), 1);
+  }
+  ~EnvVar() {
+    if (hadValue)
+      ::setenv(name.c_str(), saved.c_str(), 1);
+    else
+      ::unsetenv(name.c_str());
+  }
+};
 
 /// Runs `fn` single-rank with the given scalar/pointer args already encoded
 /// as RtVals; returns the function result.
