@@ -27,6 +27,8 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/interp/codegen.h"
+#include "src/interp/lower.h"
 #include "src/ir/builder.h"
 #include "src/serve/serve.h"
 
@@ -190,6 +192,9 @@ MixResult driveNaive(serve::GradientService& svc,
 
 void emitRow(bench::BenchJson& json, const std::string& name,
              const MixResult& r, const serve::ServiceStats& st) {
+  // Cache counters are read from the process-wide caches themselves.
+  const interp::ProgramCache& pc = interp::ProgramCache::global();
+  const interp::CodegenCounters cg = interp::CodegenCache::global().counters();
   json.row(name);
   json.num("requests", r.requests);
   json.num("ok", r.ok);
@@ -204,11 +209,10 @@ void emitRow(bench::BenchJson& json, const std::string& name,
   json.num("isolated_runs", static_cast<double>(st.isolatedRuns));
   json.num("batch_fallbacks", static_cast<double>(st.batchFallbacks));
   json.num("cold_compiles", static_cast<double>(st.coldCompiles));
-  json.num("program_cache_hits", static_cast<double>(st.programCacheHits));
-  json.num("program_cache_misses",
-           static_cast<double>(st.programCacheMisses));
-  json.num("codegen_compiles", static_cast<double>(st.codegenCompiles));
-  json.num("codegen_mem_hits", static_cast<double>(st.codegenMemHits));
+  json.num("program_cache_hits", static_cast<double>(pc.hits()));
+  json.num("program_cache_misses", static_cast<double>(pc.misses()));
+  json.num("codegen_compiles", static_cast<double>(cg.compiles));
+  json.num("codegen_mem_hits", static_cast<double>(cg.memHits));
   // Robustness telemetry (DESIGN.md §15): shedding, deadlines, retries,
   // breaker activity, and the byte-bounded cache evictions.
   json.num("shed_overload", static_cast<double>(st.shedOverload));
@@ -219,9 +223,9 @@ void emitRow(bench::BenchJson& json, const std::string& name,
   json.num("breaker_opens", static_cast<double>(st.breakerOpens));
   json.num("program_evictions", static_cast<double>(st.programEvictions));
   json.num("registry_bytes", static_cast<double>(st.registryBytes));
-  json.num("program_cache_evictions",
-           static_cast<double>(st.programCacheEvictions));
-  json.num("codegen_evictions", static_cast<double>(st.codegenEvictions));
+  json.num("program_cache_evictions", static_cast<double>(pc.evictions()));
+  json.num("codegen_evictions",
+           static_cast<double>(cg.memEvictions + cg.diskEvictions));
   std::printf(
       "%-12s %6d req  %9.0f req/s  p50 %8.0f ns  p99 %9.0f ns  "
       "(%d ok, %d faulted, %llu batches, max batch %llu)\n",
@@ -290,14 +294,16 @@ OverloadResult driveOverload(serve::GradientService& svc,
           ok++;
           continue;
         }
-        if (r.failure == nullptr) {
-          bad++;
-        } else if (r.failure->kind == psim::FailureReport::Kind::Overload) {
+        using Kind = psim::FailureReport::Kind;
+        auto died = [&](Kind k) {
+          return r.failure != nullptr && r.failure->kind == k;
+        };
+        if (r.refusal == serve::Refusal::Overload) {
           shed++;
-        } else if (r.failure->kind == psim::FailureReport::Kind::Deadline) {
+        } else if (r.refusal == serve::Refusal::Deadline ||
+                   died(Kind::Deadline)) {
           deadline++;
-        } else if (r.failure->kind ==
-                   psim::FailureReport::Kind::RankKilled) {
+        } else if (died(Kind::RankKilled)) {
           transient++;
         } else {
           bad++;

@@ -4,9 +4,6 @@
 // accumulation executes the kind the plan selected for its site (serial /
 // reduction slot / atomic, §VI-A1); every primal value is recovered the way
 // its CacheDecision dictates (recompute / slot / cache array load).
-#include <cstdio>
-#include <cstdlib>
-
 #include "src/core/grad_internal.h"
 
 namespace parad::core::detail {
@@ -121,15 +118,10 @@ void GradGen::adjointAdd(int v, Value contrib, RevScope& scope) {
         }
       }
     Value idx = b_->constI(plan_.slotIdx.at(v));
-    if (plan_.ssaSlotKind(v, scope.parallel) == AccumKind::Atomic) {
-      if (getenv("PARAD_DEBUG_SLOTS"))
-        fprintf(stderr, "atomic slot add for value %%%d (def op %s)\n", v,
-                info_.defInst(v) ? ir::traits(info_.defInst(v)->op).name
-                                 : "<arg>");
+    if (plan_.ssaSlotKind(v, scope.parallel) == AccumKind::Atomic)
       b_->atomicAddF(slotArray_, idx, contrib);
-    } else {
+    else
       serialAdd(slotArray_, idx, contrib);
-    }
     return;
   }
   auto it = adjReg_.find(v);

@@ -1,6 +1,5 @@
 #include "src/interp/backend.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -10,6 +9,7 @@
 #include "src/interp/lower.h"
 #include "src/interp/treewalk.h"
 #include "src/support/common.h"
+#include "src/support/suggest.h"
 
 namespace parad::interp {
 
@@ -21,25 +21,6 @@ std::string_view canonicalAlias(std::string_view spec) {
   if (spec == "lowered") return "exec";
   if (spec == "treewalk") return "tree";
   return spec;
-}
-
-// Levenshtein distance, small strings only — same idiom as the PARAD_FAULTS=
-// key rejection in src/psim/faults.cpp: turn an unknown engine name into an
-// actionable "did you mean" instead of a silent fallback.
-std::size_t editDistance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      std::size_t up = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
-                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = up;
-    }
-  }
-  return row[b.size()];
 }
 
 // ---------------------------------------------------------------------------
@@ -146,24 +127,15 @@ const ExecBackend& BackendRegistry::resolve(std::string_view spec) const {
   auto it = im.map.find(canonical);
   if (it != im.map.end()) return *it->second;
 
-  std::string key(spec);
-  std::string best;
-  std::size_t bestDist = std::string::npos;
+  std::vector<std::string_view> names;
   std::string list;
   for (const auto& [name, backend] : im.map) {
     (void)backend;
     if (!list.empty()) list += ", ";
     list += name;
-    std::size_t d = editDistance(key, name);
-    if (d < bestDist) {
-      bestDist = d;
-      best = name;
-    }
+    names.push_back(name);
   }
-  // Only suggest genuinely close names: a distance-5 "match" is noise.
-  if (bestDist > 2) best.clear();
-  fail("engine: unknown backend '", key, "'",
-       best.empty() ? "" : " (did you mean '" + best + "'?)",
+  fail("engine: unknown backend '", spec, "'", didYouMean(spec, names),
        " (backends: ", list, ")");
 }
 

@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <list>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -25,6 +24,8 @@
 #include "src/interp/exec.h"
 #include "src/support/bytes.h"
 #include "src/support/common.h"
+#include "src/support/fnv.h"
+#include "src/support/lru.h"
 
 namespace parad::interp {
 
@@ -498,26 +499,18 @@ class SourceEmitter {
 }  // namespace
 
 std::uint64_t closureFingerprint(const ExecModule& xm) {
-  std::uint64_t h = 14695981039346656037ull;
-  auto mixByte = [&](unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  };
-  auto mix = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mixByte(static_cast<unsigned char>(v >> (8 * i)));
-  };
-  mix(PARAD_CG_ABI_VERSION);
-  mix(kGeneratorVersion);
-  mix(xm.programs.size());
+  Fnv1a f;
+  f.u64(PARAD_CG_ABI_VERSION);
+  f.u64(kGeneratorVersion);
+  f.u64(xm.programs.size());
   for (const ExecProgram& p : xm.programs) {
-    mix(p.fingerprint);
-    mix(p.name.size());
-    for (char ch : p.name) mixByte(static_cast<unsigned char>(ch));
-    mix(p.code.size());
-    mix(p.blocks.size());
-    mix(p.segments.size());
+    f.u64(p.fingerprint);
+    f.str(p.name);
+    f.u64(p.code.size());
+    f.u64(p.blocks.size());
+    f.u64(p.segments.size());
   }
-  return h;
+  return f.h;
 }
 
 std::string emitClosureSource(const ExecModule& xm) {
@@ -773,16 +766,10 @@ struct CodegenCache::Impl {
         fallbacks{0}, memEvictions{0}, diskEvictions{0};
   } counters;
   core::RemarkStream remarks;
-  // In-process artifacts, LRU-ordered for the memory byte cap. `bytes` is
-  // the .so file size — a deterministic, cheap proxy for the mapped object.
-  struct MemEntry {
-    std::shared_ptr<const CodegenArtifact> art;
-    std::size_t bytes = 0;
-    std::list<std::uint64_t>::iterator lruIt;
-  };
-  std::unordered_map<std::uint64_t, MemEntry> mem;
-  std::list<std::uint64_t> lru;  // most-recently-used first
-  std::size_t memBytes = 0;
+  // In-process artifacts by fingerprint, LRU-ordered for the memory byte
+  // cap. An entry's bytes are the .so file size — a deterministic, cheap
+  // proxy for the mapped object.
+  ByteLru<std::uint64_t, std::shared_ptr<const CodegenArtifact>> mem;
   std::unordered_set<std::uint64_t> failed;  // fingerprints that won't compile
   std::unordered_map<std::string, bool> compilerOk;  // probe memo
   bool warnedNoCompiler = false;
@@ -801,23 +788,7 @@ struct CodegenCache::Impl {
   // when the last reference drops.
   void insertMem(std::uint64_t fp, std::shared_ptr<const CodegenArtifact> art,
                  std::size_t bytes) {
-    if (auto it = mem.find(fp); it != mem.end()) {
-      memBytes -= it->second.bytes;
-      lru.erase(it->second.lruIt);
-      mem.erase(it);
-    }
-    lru.push_front(fp);
-    mem.emplace(fp, MemEntry{std::move(art), bytes, lru.begin()});
-    memBytes += bytes;
-    std::size_t cap = memCap();
-    if (cap == 0) return;
-    while (memBytes > cap && mem.size() > 1) {
-      auto victim = mem.find(lru.back());
-      memBytes -= victim->second.bytes;
-      lru.pop_back();
-      mem.erase(victim);
-      ++counters.memEvictions;
-    }
+    counters.memEvictions += mem.put(fp, std::move(art), bytes, memCap());
   }
 
   // Applies the disk byte cap after an install via the shared hardened
@@ -928,10 +899,9 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   std::uint64_t fp = closureFingerprint(xm);
-  if (auto it = im.mem.find(fp); it != im.mem.end()) {
+  if (auto* art = im.mem.get(fp)) {
     ++im.counters.memHits;
-    im.lru.splice(im.lru.begin(), im.lru, it->second.lruIt);  // touch
-    return it->second.art;
+    return *art;
   }
   if (im.failed.count(fp) != 0) {
     ++im.counters.fallbacks;
@@ -1069,8 +1039,6 @@ void CodegenCache::clear() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   im.mem.clear();  // dlcloses via artifact destructors
-  im.lru.clear();
-  im.memBytes = 0;
   im.failed.clear();
   im.compilerOk.clear();
   im.warnedNoCompiler = false;

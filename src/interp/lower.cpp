@@ -1,11 +1,10 @@
 #include "src/interp/lower.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 
 #include "src/support/bytes.h"
+#include "src/support/fnv.h"
 
 namespace parad::interp {
 
@@ -16,61 +15,38 @@ using ir::Op;
 
 namespace {
 
-struct Fnv {
-  std::uint64_t h = 14695981039346656037ull;
+void hashRegion(const ir::Region& r, Fnv1a& f);
 
-  void byte(unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (i * 8)));
-  }
-  void mix(i64 v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<i64>(v))); }
-  void mix(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    mix(bits);
-  }
-  void mix(const std::string& s) {
-    mix(static_cast<std::uint64_t>(s.size()));
-    for (char c : s) byte(static_cast<unsigned char>(c));
-  }
-};
-
-void hashRegion(const ir::Region& r, Fnv& f);
-
-void hashInst(const ir::Inst& in, Fnv& f) {
-  f.mix(static_cast<std::uint64_t>(in.op));
-  f.mix(in.result);
-  f.mix(static_cast<std::uint64_t>(in.operands.size()));
-  for (int o : in.operands) f.mix(o);
-  f.mix(in.fconst);
-  f.mix(in.iconst);
-  f.mix(in.sym);
-  f.mix(static_cast<std::uint64_t>(in.flags));
-  f.mix(static_cast<std::uint64_t>(in.regions.size()));
+void hashInst(const ir::Inst& in, Fnv1a& f) {
+  f.u64(static_cast<std::uint64_t>(in.op));
+  f.u64(in.result);
+  f.u64(in.operands.size());
+  for (int o : in.operands) f.u64(o);
+  f.f64(in.fconst);
+  f.u64(in.iconst);
+  f.str(in.sym);
+  f.u64(in.flags);
+  f.u64(in.regions.size());
   for (const ir::Region& r : in.regions) hashRegion(r, f);
 }
 
-void hashRegion(const ir::Region& r, Fnv& f) {
-  f.mix(static_cast<std::uint64_t>(r.args.size()));
-  for (int a : r.args) f.mix(a);
-  f.mix(static_cast<std::uint64_t>(r.insts.size()));
+void hashRegion(const ir::Region& r, Fnv1a& f) {
+  f.u64(r.args.size());
+  for (int a : r.args) f.u64(a);
+  f.u64(r.insts.size());
   for (const ir::Inst& in : r.insts) hashInst(in, f);
 }
 
 }  // namespace
 
 std::uint64_t fingerprint(const ir::Function& fn) {
-  Fnv f;
-  f.mix(fn.name);
-  f.mix(static_cast<std::uint64_t>(fn.paramTypes.size()));
-  for (ir::Type t : fn.paramTypes) f.mix(static_cast<std::uint64_t>(t));
-  f.mix(static_cast<std::uint64_t>(fn.retType));
-  f.mix(static_cast<std::uint64_t>(fn.valueTypes.size()));
-  for (ir::Type t : fn.valueTypes) f.mix(static_cast<std::uint64_t>(t));
+  Fnv1a f;
+  f.str(fn.name);
+  f.u64(fn.paramTypes.size());
+  for (ir::Type t : fn.paramTypes) f.u64(static_cast<std::uint64_t>(t));
+  f.u64(static_cast<std::uint64_t>(fn.retType));
+  f.u64(fn.valueTypes.size());
+  for (ir::Type t : fn.valueTypes) f.u64(static_cast<std::uint64_t>(t));
   hashRegion(fn.body, f);
   return f.h;
 }
@@ -406,29 +382,6 @@ static bool stillValid(const ir::Module& mod, const ir::Function& entry,
   return true;
 }
 
-void ProgramCache::eraseLocked(
-    Shard& sh, std::unordered_map<Key, Entry, KeyHash>::iterator it) {
-  sh.bytes -= it->second.bytes;
-  sh.lru.erase(it->second.lruIt);
-  sh.map.erase(it);
-}
-
-void ProgramCache::evictOverCapLocked(Shard& sh) {
-  std::size_t cap = capacityBytes_.load(std::memory_order_relaxed);
-  if (cap == 0) return;
-  // The global budget is split evenly; a fresh insert always survives (the
-  // loop keeps at least one entry), so an oversized closure degrades to
-  // relower-per-use instead of failing.
-  std::size_t perShard = std::max<std::size_t>(cap / kShards, 1);
-  std::uint64_t dropped = 0;
-  while (sh.bytes > perShard && sh.map.size() > 1) {
-    auto victim = sh.map.find(sh.lru.back());
-    eraseLocked(sh, victim);
-    ++dropped;
-  }
-  if (dropped) evictions_.fetch_add(dropped, std::memory_order_relaxed);
-}
-
 std::shared_ptr<const ExecModule> ProgramCache::lookup(
     const ir::Module& mod, const ir::Function& entry) {
   Key k{&mod, entry.name};
@@ -436,11 +389,7 @@ std::shared_ptr<const ExecModule> ProgramCache::lookup(
   std::shared_ptr<const ExecModule> cached;
   {
     std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(k);
-    if (it != sh.map.end()) {
-      cached = it->second.xm;
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second.lruIt);  // touch
-    }
+    if (auto* xm = sh.lru.get(k)) cached = *xm;
   }
   if (cached != nullptr) {
     // Revalidate outside the shard lock: fingerprinting walks the (read-only
@@ -451,29 +400,23 @@ std::shared_ptr<const ExecModule> ProgramCache::lookup(
       return cached;
     }
     std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(k);
     // Only drop the entry we validated; a concurrent relowering may already
     // have replaced it with a fresh one.
-    if (it != sh.map.end() && it->second.xm == cached) eraseLocked(sh, it);
+    if (auto* xm = sh.lru.get(k); xm != nullptr && *xm == cached)
+      sh.lru.erase(k);
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto xm = lower(mod, entry);
   std::size_t bytes = execModuleBytes(*xm);
+  // The global budget is split evenly across the shards. A concurrent miss
+  // may have inserted first; last insert wins (both closures are
+  // equivalent). The fresh insert always survives, so an oversized closure
+  // degrades to relower-per-use instead of failing.
+  std::size_t cap = capacityBytes_.load(std::memory_order_relaxed);
+  std::size_t perShard = cap == 0 ? 0 : std::max<std::size_t>(cap / kShards, 1);
   std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.map.find(k);
-  if (it != sh.map.end()) {
-    // A concurrent miss beat us to the insert; replace (last-insert wins,
-    // both closures are equivalent).
-    sh.bytes -= it->second.bytes;
-    it->second.xm = xm;
-    it->second.bytes = bytes;
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second.lruIt);
-  } else {
-    sh.lru.push_front(k);
-    sh.map.emplace(std::move(k), Entry{xm, bytes, sh.lru.begin()});
-  }
-  sh.bytes += bytes;
-  evictOverCapLocked(sh);
+  if (std::size_t dropped = sh.lru.put(k, xm, bytes, perShard))
+    evictions_.fetch_add(dropped, std::memory_order_relaxed);
   return xm;
 }
 
@@ -481,14 +424,9 @@ void ProgramCache::invalidate(const std::string& fnName) {
   std::uint64_t dropped = 0;
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh.mu);
-    for (auto it = sh.map.begin(); it != sh.map.end();) {
-      if (it->second.xm->indexOf.count(fnName)) {
-        eraseLocked(sh, it++);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
+    dropped += sh.lru.eraseIf([&](const Key&, const auto& xm) {
+      return xm->indexOf.count(fnName) != 0;
+    });
   }
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
 }
@@ -497,14 +435,9 @@ void ProgramCache::invalidateModule(const void* mod) {
   std::uint64_t dropped = 0;
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh.mu);
-    for (auto it = sh.map.begin(); it != sh.map.end();) {
-      if (static_cast<const void*>(it->first.mod) == mod) {
-        eraseLocked(sh, it++);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
+    dropped += sh.lru.eraseIf([&](const Key& k, const auto&) {
+      return static_cast<const void*>(k.mod) == mod;
+    });
   }
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
 }
@@ -513,10 +446,7 @@ void ProgramCache::clear() {
   std::uint64_t dropped = 0;
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh.mu);
-    dropped += sh.map.size();
-    sh.map.clear();
-    sh.lru.clear();
-    sh.bytes = 0;
+    dropped += sh.lru.clear();
   }
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
 }
@@ -525,7 +455,7 @@ std::size_t ProgramCache::bytesInUse() const {
   std::size_t total = 0;
   for (const Shard& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh.mu);
-    total += sh.bytes;
+    total += sh.lru.bytes();
   }
   return total;
 }

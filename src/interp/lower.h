@@ -26,7 +26,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -34,6 +33,7 @@
 #include <vector>
 
 #include "src/ir/inst.h"
+#include "src/support/lru.h"
 
 namespace parad::interp {
 
@@ -217,16 +217,9 @@ class ProgramCache {
     }
   };
   static constexpr std::size_t kShards = 16;
-  struct Entry {
-    std::shared_ptr<const ExecModule> xm;
-    std::size_t bytes = 0;
-    std::list<Key>::iterator lruIt;  // position in Shard::lru (front = MRU)
-  };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<Key, Entry, KeyHash> map;
-    std::list<Key> lru;        // most-recently-used first
-    std::size_t bytes = 0;     // sum of Entry::bytes
+    ByteLru<Key, std::shared_ptr<const ExecModule>, KeyHash> lru;
   };
   Shard& shardOf(const Key& k) {
     // Spread the map hash across shards with a multiplicative mix so shard
@@ -234,9 +227,6 @@ class ProgramCache {
     std::size_t h = KeyHash()(k) * 0x9e3779b97f4a7c15ull;
     return shards_[(h >> 32) % kShards];
   }
-  void eraseLocked(Shard& sh,
-                   std::unordered_map<Key, Entry, KeyHash>::iterator it);
-  void evictOverCapLocked(Shard& sh);
   std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> hits_{0}, misses_{0}, invalidations_{0},
       evictions_{0};

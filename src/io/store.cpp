@@ -70,15 +70,6 @@ std::size_t IoFaultPlan::corruptBit(std::uint64_t key, std::uint64_t op,
                                   static_cast<double>(len * 8));
 }
 
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t k = 0; k < len; ++k) {
-    h ^= p[k];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 bool makeDirs(const std::string& path, std::string* err) {
   std::string cur;
   for (std::size_t i = 0; i < path.size(); ++i) {

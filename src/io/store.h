@@ -30,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "src/support/fnv.h"
+
 namespace parad::io {
 
 /// Knobs of the seeded disk-fault injector. Rates are probabilities in
@@ -82,10 +84,9 @@ class IoFaultPlan {
   IoFaultConfig cfg_;
 };
 
-/// FNV-1a over a byte range (the checksum and fingerprint primitive used
-/// across the store, the checkpoint format, and the codegen cache).
-std::uint64_t fnv1a(const void* data, std::size_t len,
-                    std::uint64_t h = 0xcbf29ce484222325ull);
+/// FNV-1a over a byte range (src/support/fnv.h): the store's record
+/// checksums and the checkpoint format's fingerprints.
+using parad::fnv1a;
 
 /// mkdir -p. Returns false (with errno-derived `err`) on failure.
 bool makeDirs(const std::string& path, std::string* err = nullptr);

@@ -325,7 +325,6 @@ void CheckpointManager::applyStats(const RunStats& snap) {
   stats_.durableWrites = keep.durableWrites;
   stats_.durableWriteFails = keep.durableWriteFails;
   stats_.durableResumes = keep.durableResumes;
-  stats_.serveWarmResumes = keep.serveWarmResumes;
 }
 
 void CheckpointManager::apply(const Checkpoint& cp) {

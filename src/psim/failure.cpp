@@ -7,18 +7,7 @@ namespace parad::psim {
 
 std::string FailureReport::render() const {
   std::ostringstream os;
-  // Service-level rejections (overload shed, breaker, queue-expired
-  // deadlines) carry no rank snapshots: no VM ever ran. A Deadline report
-  // *with* snapshots came from a run cancelled mid-flight.
-  const bool serviceOnly =
-      ranks.empty() && (kind == Kind::Deadline || kind == Kind::Overload ||
-                        kind == Kind::CircuitOpen);
-  os << (serviceOnly ? "gradient service " : "virtual machine ") << kindName()
-     << ": " << detail;
-  if (requestId != 0 || !tenant.empty()) {
-    os << "\n  request " << requestId;
-    if (!tenant.empty()) os << ", tenant '" << tenant << "'";
-  }
+  os << "virtual machine " << kindName() << ": " << detail;
   if (kind == Kind::RankKilled) {
     os << "\n  dead rank: " << killedRank << ", last checkpoint epoch: ";
     if (lastEpoch >= 0)

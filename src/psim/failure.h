@@ -44,14 +44,7 @@ struct FailureReport {
     Watchdog,
     CollectiveMismatch,
     RankKilled,
-    // Service-level kinds (src/serve, DESIGN.md §15). Deadline reports are
-    // raised by the VM when a host deadline cancels a run mid-flight and by
-    // the serving layer when a job expires while queued; Overload and
-    // CircuitOpen never touch a VM — they are structured rejections from
-    // admission control and the per-program circuit breaker.
-    Deadline,
-    Overload,
-    CircuitOpen,
+    Deadline,  // the host cancelled the run through MachineConfig::cancel
   };
   Kind kind = Kind::Deadlock;
   std::string detail;  // headline, e.g. "all 4 ranks blocked"
@@ -61,11 +54,6 @@ struct FailureReport {
   int killedRank = -1;  // dead rank for Kind::RankKilled
   int lastEpoch = -1;   // most recent checkpoint epoch (-1: none captured)
   std::vector<RestoreEvent> restoreTrail;  // successful rollbacks before this
-  // Serve-path attribution (src/serve): the request that hit the failure and
-  // its tenant key, so multi-tenant incident reports are attributable. Zero/
-  // empty outside the serving layer.
-  std::uint64_t requestId = 0;
-  std::string tenant;
 
   const char* kindName() const {
     switch (kind) {
@@ -74,8 +62,6 @@ struct FailureReport {
       case Kind::CollectiveMismatch: return "collective mismatch";
       case Kind::RankKilled: return "rank killed";
       case Kind::Deadline: return "deadline";
-      case Kind::Overload: return "overload";
-      case Kind::CircuitOpen: return "circuit open";
     }
     return "?";
   }

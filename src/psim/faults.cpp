@@ -1,8 +1,8 @@
 #include "src/psim/faults.h"
 
-#include <algorithm>
 #include <cstdlib>
-#include <vector>
+
+#include "src/support/suggest.h"
 
 namespace parad::psim {
 
@@ -49,38 +49,6 @@ std::string keyList() {
     out += k;
   }
   return out;
-}
-
-// Levenshtein distance, small strings only — used to turn an unknown key
-// into an actionable "did you mean" instead of a silent no-op.
-std::size_t editDistance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      std::size_t up = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
-                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = up;
-    }
-  }
-  return row[b.size()];
-}
-
-std::string nearestKey(const std::string& key) {
-  std::string best;
-  std::size_t bestDist = std::string::npos;
-  for (const char* k : kKeys) {
-    std::size_t d = editDistance(key, k);
-    if (d < bestDist) {
-      bestDist = d;
-      best = k;
-    }
-  }
-  // Only suggest genuinely close keys: a distance-5 "match" is noise.
-  return bestDist <= 2 ? best : std::string();
 }
 
 }  // namespace
@@ -156,9 +124,7 @@ FaultConfig parseFaultSpec(const std::string& spec) {
     } else if (key == "iocorrupt") {
       cfg.ioCorruptRate = parseRate(key, val);
     } else {
-      std::string near = nearestKey(key);
-      fail("fault spec: unknown key '", key, "'",
-           near.empty() ? "" : " (did you mean '" + near + "'?)",
+      fail("fault spec: unknown key '", key, "'", didYouMean(key, kKeys),
            " (keys: ", keyList(), ")");
     }
   }

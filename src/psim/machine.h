@@ -189,10 +189,6 @@ struct RunStats {
   std::uint64_t durableWrites = 0;      // epoch publishes attempted
   std::uint64_t durableWriteFails = 0;  // publishes that failed outright
   std::uint64_t durableResumes = 0;     // runs seeded from an on-disk epoch
-  // Stamped by the serving layer (next to serveRetries below): transient
-  // retries that re-seated from the job's durable epoch instead of
-  // replaying from zero.
-  std::uint64_t serveWarmResumes = 0;
   // Static decision counts from the AD plan stage (core::PlanCounts), filled
   // by the bench harnesses so ablations can report *which* decisions flipped
   // alongside the dynamic costs above. Zero when no gradient was generated.
@@ -202,28 +198,6 @@ struct RunStats {
   std::uint64_t planCacheRecompute = 0;
   std::uint64_t planCacheSlots = 0;
   std::uint64_t planCacheTripArrays = 0;
-  // Process-wide compile-cache counters (interp::ProgramCache hit/miss/
-  // invalidation totals and the codegen artifact-cache compile/disk/mem/
-  // fallback totals), snapshotted into a run's stats by the serving layer
-  // (src/serve) and its bench harness so concurrent serving reports coherent
-  // cache behavior next to the per-run dynamic costs. The machine itself
-  // never writes these; they stay zero outside serving harnesses.
-  std::uint64_t programCacheHits = 0;
-  std::uint64_t programCacheMisses = 0;
-  std::uint64_t programCacheInvalidations = 0;
-  std::uint64_t programCacheEvictions = 0;  // LRU byte-capacity evictions
-  std::uint64_t codegenCompiles = 0;
-  std::uint64_t codegenDiskHits = 0;
-  std::uint64_t codegenMemHits = 0;
-  std::uint64_t codegenFallbacks = 0;
-  std::uint64_t codegenEvictions = 0;  // artifact mem + disk LRU evictions
-  // Serving-layer robustness counters (src/serve, DESIGN.md §15), stamped
-  // per-response by the service: retry attempts consumed by this job, 1 when
-  // the job died on its deadline, and prepared tenant programs evicted by
-  // the registry's byte cap at the time of the snapshot.
-  std::uint64_t serveRetries = 0;
-  std::uint64_t serveDeadlineHits = 0;
-  std::uint64_t serveProgramEvictions = 0;
   void reset() { *this = RunStats{}; }
 };
 

@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string_view>
@@ -17,34 +20,62 @@
 #include "src/core/batch.h"
 #include "src/core/gradient.h"
 #include "src/interp/backend.h"
-#include "src/interp/codegen.h"
 #include "src/interp/interp.h"
 #include "src/interp/lower.h"
 #include "src/psim/faults.h"
 #include "src/psim/sim.h"
 #include "src/serve/queue.h"
+#include "src/support/bytes.h"
+#include "src/support/suggest.h"
 
 namespace parad::serve {
 
 namespace {
 
-double envDouble(const char* name, double dflt) {
+// Host times become integer nanoseconds added to the steady clock. Capping
+// them at 10^18 ns (about 31 years) keeps every such conversion and sum in
+// range.
+constexpr double kMaxHostNs = 1e18;
+
+/// The number in PARAD_SERVE_* variable `name`, or `dflt` when it is unset
+/// or empty: finite, non-negative, at most `max`, and whole if `integer`.
+double envDouble(const char* name, double dflt,
+                 double max = std::numeric_limits<double>::infinity(),
+                 bool integer = false) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return dflt;
   char* end = nullptr;
   double v = std::strtod(s, &end);
   if (end == s || *end != '\0')
     fail("serve: malformed ", name, "='", s, "' (expected a number)");
+  if (!std::isfinite(v))
+    fail("serve: ", name, " must be finite, got '", s, "'");
   if (v < 0)
     fail("serve: ", name, " must be non-negative, got '", s, "'");
+  if (v > max)
+    fail("serve: ", name, " must be at most ", static_cast<long long>(max),
+         ", got '", s, "'");
+  if (integer && v != std::trunc(v))
+    fail("serve: ", name, " must be a non-negative integer, got '", s, "'");
   return v;
 }
 
 int envInt(const char* name, int dflt) {
-  double v = envDouble(name, dflt);
-  PARAD_CHECK(v >= 0 && v == static_cast<double>(static_cast<int>(v)),
-              "serve: ", name, " must be a non-negative integer");
-  return static_cast<int>(v);
+  return static_cast<int>(envDouble(name, dflt, INT_MAX, /*integer=*/true));
+}
+
+/// A host time in `nsPerUnit`-nanosecond units.
+double envTime(const char* name, double dflt, double nsPerUnit) {
+  return envDouble(name, dflt, kMaxHostNs / nsPerUnit);
+}
+
+/// The absolute host deadline of a job started at `now` that may take `ms`
+/// milliseconds; 0 (no deadline) when `ms` <= 0.
+std::uint64_t deadlineAt(std::uint64_t now, double ms) {
+  if (!std::isfinite(ms) || ms * 1e6 > kMaxHostNs)
+    fail("serve: deadline of ", ms, " ms is out of range (at most ",
+         static_cast<long long>(kMaxHostNs / 1e6), " ms)");
+  return ms > 0 ? now + static_cast<std::uint64_t>(ms * 1e6) : 0;
 }
 
 // Every knob fromEnv() accepts, sorted (PARAD_SERVE_SMOKE belongs to the
@@ -68,22 +99,6 @@ const char* const kServeKnobs[] = {
     "PARAD_SERVE_THREADS",
 };
 
-std::size_t editDistance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      std::size_t next = std::min(
-          {row[j] + 1, row[j - 1] + 1, diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = row[j];
-      row[j] = next;
-    }
-  }
-  return row[b.size()];
-}
-
 /// Scans the environment for PARAD_SERVE_-prefixed names that no knob owns,
 /// so a typo (PARAD_SERVE_DEDLINE_MS) fails loudly instead of silently
 /// running with defaults. Values are validated per knob by envDouble/envInt.
@@ -95,21 +110,10 @@ void validateServeEnv() {
     bool known = false;
     for (const char* k : kServeKnobs) known = known || name == k;
     if (known) continue;
-    std::string nearest;
-    std::size_t bestDist = 0;
-    for (const char* k : kServeKnobs) {
-      std::size_t d = editDistance(name, k);
-      if (nearest.empty() || d < bestDist) {
-        nearest = k;
-        bestDist = d;
-      }
-    }
-    std::string hint =
-        bestDist <= 2 ? " (did you mean '" + nearest + "'?)" : "";
     std::string all;
     for (const char* k : kServeKnobs) all += std::string(all.empty() ? "" : ", ") + k;
-    fail("serve: unknown environment knob '", name, "'", hint,
-         " (knobs: ", all, ")");
+    fail("serve: unknown environment knob '", name, "'",
+         didYouMean(name, kServeKnobs), " (knobs: ", all, ")");
   }
 }
 
@@ -127,41 +131,25 @@ ServeConfig ServeConfig::fromEnv() {
   ServeConfig cfg;
   cfg.workers = std::max(1, envInt("PARAD_SERVE_THREADS", cfg.workers));
   cfg.maxBatch = std::max(1, envInt("PARAD_SERVE_BATCH", cfg.maxBatch));
-  cfg.maxDelayUs = envDouble("PARAD_SERVE_MAX_DELAY_US", cfg.maxDelayUs);
+  cfg.maxDelayUs = envTime("PARAD_SERVE_MAX_DELAY_US", cfg.maxDelayUs, 1e3);
   cfg.queueCapacity = static_cast<std::size_t>(std::max(
       1, envInt("PARAD_SERVE_QUEUE", static_cast<int>(cfg.queueCapacity))));
   if (const char* e = std::getenv("PARAD_SERVE_ENGINE"); e != nullptr && *e)
     cfg.engine = e;
-  cfg.deadlineMs = envDouble("PARAD_SERVE_DEADLINE_MS", cfg.deadlineMs);
+  cfg.deadlineMs = envTime("PARAD_SERVE_DEADLINE_MS", cfg.deadlineMs, 1e6);
   cfg.retryMax = envInt("PARAD_SERVE_RETRY", cfg.retryMax);
   cfg.retryBackoffUs =
-      envDouble("PARAD_SERVE_RETRY_BACKOFF_US", cfg.retryBackoffUs);
+      envTime("PARAD_SERVE_RETRY_BACKOFF_US", cfg.retryBackoffUs, 1e3);
   cfg.ratePerSec = envDouble("PARAD_SERVE_RATE", cfg.ratePerSec);
   cfg.rateBurst = envDouble("PARAD_SERVE_BURST", cfg.rateBurst);
   cfg.maxInflight = envInt("PARAD_SERVE_INFLIGHT", cfg.maxInflight);
   cfg.breakerThreshold = envInt("PARAD_SERVE_BREAKER", cfg.breakerThreshold);
   cfg.breakerCooldownMs =
-      envDouble("PARAD_SERVE_BREAKER_COOLDOWN_MS", cfg.breakerCooldownMs);
-  cfg.registryCapacityBytes = static_cast<std::size_t>(
-      envDouble("PARAD_SERVE_CACHE_BYTES",
-                static_cast<double>(cfg.registryCapacityBytes)));
+      envTime("PARAD_SERVE_BREAKER_COOLDOWN_MS", cfg.breakerCooldownMs, 1e6);
+  cfg.registryCapacityBytes = envByteSize("PARAD_SERVE_CACHE_BYTES");
   if (const char* e = std::getenv("PARAD_SERVE_CKPT_DIR"); e != nullptr && *e)
     cfg.ckptDir = e;
   return cfg;
-}
-
-void fillCacheCounters(psim::RunStats& stats) {
-  const auto& pc = interp::ProgramCache::global();
-  stats.programCacheHits = pc.hits();
-  stats.programCacheMisses = pc.misses();
-  stats.programCacheInvalidations = pc.invalidations();
-  stats.programCacheEvictions = pc.evictions();
-  interp::CodegenCounters cg = interp::CodegenCache::global().counters();
-  stats.codegenCompiles = cg.compiles;
-  stats.codegenDiskHits = cg.diskHits;
-  stats.codegenMemHits = cg.memHits;
-  stats.codegenFallbacks = cg.fallbacks;
-  stats.codegenEvictions = cg.memEvictions + cg.diskEvictions;
 }
 
 // ---------------------------------------------------------------------------
@@ -429,11 +417,9 @@ struct GradientService::Impl {
   /// kill-budget exhaustion, watchdogs, deadlocks. Host-side outcomes
   /// (deadline, overload, an already-open circuit) never poison the program.
   static bool countsForBreaker(const Response& r) {
-    if (r.ok) return false;
+    if (r.ok || r.refusal != Refusal::None) return false;
     if (r.failure == nullptr) return true;  // trap / preparation failure
-    using K = psim::FailureReport::Kind;
-    K k = r.failure->kind;
-    return k != K::Deadline && k != K::Overload && k != K::CircuitOpen;
+    return r.failure->kind != psim::FailureReport::Kind::Deadline;
   }
 
   void recordOutcome(Program& p, const Response& r, bool probe) {
@@ -475,44 +461,42 @@ struct GradientService::Impl {
     return req.tenant.empty() ? req.program : req.tenant;
   }
 
-  /// Builds the structured report for a service-level rejection (overload,
-  /// queued-deadline expiry, open circuit) with request attribution.
-  psim::FailureReport serviceReport(psim::FailureReport::Kind kind,
-                                    std::string detail, const Request& req) {
-    psim::FailureReport rep;
-    rep.kind = kind;
-    rep.detail = std::move(detail);
-    rep.requestId = req.id;
-    rep.tenant = tenantOf(req);
-    return rep;
+  /// The attribution line of a failure message: which request, which tenant.
+  static std::string attribution(std::uint64_t id, const std::string& tenant) {
+    std::string line = "\n  request " + std::to_string(id);
+    if (!tenant.empty()) line += ", tenant '" + tenant + "'";
+    return line;
   }
 
-  Response rejectionResponse(psim::FailureReport::Kind kind,
-                             std::string detail, const Request& req) {
+  /// A job answered without a VM run: overload, open circuit, or a deadline
+  /// that expired before execution.
+  static Response refusal(Refusal kind, const std::string& detail,
+                          std::uint64_t id, const std::string& tenant) {
+    static constexpr const char* kNames[] = {"", "overload", "circuit open",
+                                             "deadline"};
     Response r;
-    r.ok = false;
-    auto rep = std::make_shared<psim::FailureReport>(
-        serviceReport(kind, std::move(detail), req));
-    r.error = rep->render();
-    r.failure = std::move(rep);
+    r.refusal = kind;
+    r.error = std::string("gradient service ") +
+              kNames[static_cast<int>(kind)] + ": " + detail +
+              attribution(id, tenant);
     return r;
+  }
+  static Response refusal(Refusal kind, const std::string& detail,
+                          const Request& req) {
+    return refusal(kind, detail, req.id, tenantOf(req));
   }
 
   void deliver(Job& job, Response&& r) {
     r.doneAtNs = nowNs();
     r.requestId = job.req.id;
     r.tenant = tenantOf(job.req);
-    r.stats.serveRetries = static_cast<std::uint64_t>(r.retries);
     if (r.retries > 0)
       retries_.fetch_add(static_cast<std::uint64_t>(r.retries),
                          std::memory_order_relaxed);
-    if (r.failure != nullptr &&
-        r.failure->kind == psim::FailureReport::Kind::Deadline) {
-      r.stats.serveDeadlineHits = 1;
+    if (r.refusal == Refusal::Deadline ||
+        (r.failure != nullptr &&
+         r.failure->kind == psim::FailureReport::Kind::Deadline))
       deadlineExpired_.fetch_add(1, std::memory_order_relaxed);
-    }
-    r.stats.serveProgramEvictions =
-        programEvictions_.load(std::memory_order_relaxed);
     if (!r.ok) failed_.fetch_add(1, std::memory_order_relaxed);
     std::string tenant = r.tenant;
     // Count and free the tenant's inflight slot before resolving the future
@@ -538,9 +522,8 @@ struct GradientService::Impl {
     deliver(job, std::move(r));
   }
 
-  void failJobStructured(Job& job, psim::FailureReport::Kind kind,
-                         std::string detail) {
-    deliver(job, rejectionResponse(kind, std::move(detail), job.req));
+  void refuseJob(Job& job, Refusal kind, const std::string& detail) {
+    deliver(job, refusal(kind, detail, job.req));
   }
 
   // ---- execution ----
@@ -566,14 +549,12 @@ struct GradientService::Impl {
     r.isolated = true;
     r.engine = engine;
     if (deadlineNs != 0 && nowNs() >= deadlineNs) {
-      r = rejectionResponse(
-          psim::FailureReport::Kind::Deadline,
-          "deadline expired before execution of program '" + req.program +
-              "'",
-          req);
+      r = refusal(Refusal::Deadline,
+                  "deadline expired before execution of program '" +
+                      req.program + "'",
+                  req);
       r.isolated = true;
       r.engine = engine;
-      fillCacheCounters(r.stats);
       return r;
     }
     std::shared_ptr<std::atomic<bool>> cancel;
@@ -617,16 +598,15 @@ struct GradientService::Impl {
       r.ok = true;
     } catch (const psim::VmError& e) {
       r.gradient.clear();
-      auto rep = std::make_shared<psim::FailureReport>(e.report());
-      rep->requestId = req.id;
-      rep->tenant = tenantOf(req);
-      r.error = rep->render();
-      r.failure = std::move(rep);
+      r.failure = std::make_shared<psim::FailureReport>(e.report());
+      // The attribution line goes right after the report's headline.
+      r.error = e.what();
+      r.error.insert(std::min(r.error.find('\n'), r.error.size()),
+                     attribution(req.id, tenantOf(req)));
     } catch (const Error& e) {
       r.gradient.clear();
       r.error = e.what();
     }
-    fillCacheCounters(r.stats);
     isolatedRuns_.fetch_add(1, std::memory_order_relaxed);
     return r;
   }
@@ -650,29 +630,19 @@ struct GradientService::Impl {
                            const std::string& engine,
                            std::uint64_t deadlineNs) {
     int budget = req.retryMax >= 0 ? req.retryMax : svc_.cfg_.retryMax;
-    Response r;
-    std::uint64_t warm = 0;  // attempts re-seated from a durable epoch
     for (int attempt = 0;; ++attempt) {
-      r = executeAttempt(p, req, engine, attempt, deadlineNs);
+      Response r = executeAttempt(p, req, engine, attempt, deadlineNs);
       r.retries = attempt;
-      warm += r.stats.durableResumes;
-      if (r.ok || !isTransient(r) || attempt >= budget) {
-        r.stats.serveWarmResumes = warm;
-        if (warm > 0)
-          warmResumes_.fetch_add(warm, std::memory_order_relaxed);
-        return r;
-      }
-      double backoffUs =
-          svc_.cfg_.retryBackoffUs * static_cast<double>(1ull << attempt);
-      if (backoffUs > 0) {
-        std::uint64_t wake =
-            nowNs() + static_cast<std::uint64_t>(backoffUs * 1000.0);
-        if (deadlineNs != 0 && wake >= deadlineNs) {  // budget < time
-          r.stats.serveWarmResumes = warm;
-          if (warm > 0)
-            warmResumes_.fetch_add(warm, std::memory_order_relaxed);
-          return r;
-        }
+      // Attempts re-seated from the job's durable epoch.
+      if (r.stats.durableResumes > 0)
+        warmResumes_.fetch_add(r.stats.durableResumes,
+                               std::memory_order_relaxed);
+      if (r.ok || !isTransient(r) || attempt >= budget) return r;
+      double backoffNs = std::min(
+          std::ldexp(svc_.cfg_.retryBackoffUs * 1000.0, attempt), kMaxHostNs);
+      if (backoffNs > 0) {
+        std::uint64_t wake = nowNs() + static_cast<std::uint64_t>(backoffNs);
+        if (deadlineNs != 0 && wake >= deadlineNs) return r;  // budget < time
         std::uint64_t nw = nowNs();
         if (wake > nw)
           std::this_thread::sleep_for(std::chrono::nanoseconds(wake - nw));
@@ -714,8 +684,8 @@ struct GradientService::Impl {
     std::uint64_t now = nowNs();
     for (Job& j : bw.jobs) {
       if (j.deadlineNs != 0 && now >= j.deadlineNs) {
-        Response r = rejectionResponse(
-            psim::FailureReport::Kind::Deadline,
+        Response r = refusal(
+            Refusal::Deadline,
             "deadline expired in queue for program '" + j.req.program + "'",
             j.req);
         recordOutcome(p, r, j.probe);  // no-op for Deadline, keeps one path
@@ -775,7 +745,6 @@ struct GradientService::Impl {
                 m.mem().atF(dxs, b * p.n + k);
           r.virtualNs = makespan;
           r.stats = m.stats();
-          fillCacheCounters(r.stats);
         }
         batchedOk = true;
       } catch (const Error&) {
@@ -892,9 +861,9 @@ struct GradientService::Impl {
     // Queued-deadline expiry: answered here, at admission, without ever
     // reaching a worker or a VM.
     if (job.deadlineNs != 0 && nowNs() >= job.deadlineNs) {
-      failJobStructured(job, psim::FailureReport::Kind::Deadline,
-                        "deadline expired in queue for program '" +
-                            job.req.program + "'");
+      refuseJob(job, Refusal::Deadline,
+                "deadline expired in queue for program '" + job.req.program +
+                    "'");
       return;
     }
     // Circuit breaker: an open circuit short-circuits jobs here (no worker
@@ -913,8 +882,8 @@ struct GradientService::Impl {
           breakerProbes_.fetch_add(1, std::memory_order_relaxed);
         } else {
           breakerShortCircuits_.fetch_add(1, std::memory_order_relaxed);
-          failJobStructured(
-              job, psim::FailureReport::Kind::CircuitOpen,
+          refuseJob(
+              job, Refusal::CircuitOpen,
               "program '" + job.req.program + "' quarantined after " +
                   std::to_string(prog->consecFailures.load(
                       std::memory_order_relaxed)) +
@@ -1017,35 +986,45 @@ std::future<Response> GradientService::submit(Request req) {
   std::uint64_t now = nowNs();
   if (req.id == 0)
     req.id = im.nextId_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::string tenant = Impl::tenantOf(req);
+  const std::uint64_t id = req.id;
+  const std::string tenant = Impl::tenantOf(req);
+  im.submitted_.fetch_add(1, std::memory_order_relaxed);
 
-  // Answers a request rejected before it ever entered the queue: structured
-  // report, counters kept coherent with drain()'s submitted == completed
-  // invariant.
-  auto rejectNow = [&](psim::FailureReport::Kind kind,
-                       std::string detail) -> std::future<Response> {
-    std::promise<Response> p;
-    std::future<Response> f = p.get_future();
-    Response r = im.rejectionResponse(kind, std::move(detail), req);
+  // Answers a request that never reaches the queue, keeping the counters
+  // coherent with drain()'s submitted == completed invariant.
+  auto answerNow = [&](Response r) -> std::future<Response> {
     r.doneAtNs = nowNs();
-    r.requestId = req.id;
+    r.requestId = id;
     r.tenant = tenant;
-    im.submitted_.fetch_add(1, std::memory_order_relaxed);
     im.failed_.fetch_add(1, std::memory_order_relaxed);
     im.completed_.fetch_add(1, std::memory_order_relaxed);
+    std::promise<Response> p;
     p.set_value(std::move(r));
     std::lock_guard<std::mutex> lock(im.drainMu_);
     im.drainCv_.notify_all();
-    return f;
+    return p.get_future();
   };
+
+  // A deadline no clock can hold is a malformed request.
+  std::uint64_t deadlineNs = 0;
+  try {
+    deadlineNs =
+        deadlineAt(now, req.deadlineMs != 0 ? req.deadlineMs : cfg_.deadlineMs);
+  } catch (const Error& e) {
+    Response r;
+    r.error = e.what();
+    return answerNow(std::move(r));
+  }
 
   // Per-tenant admission: token-bucket rate, then the inflight cap. Both
   // shed immediately — a throttled tenant cannot stall anyone's producers.
   if (!im.admitRate(tenant, now)) {
     im.shedRate_.fetch_add(1, std::memory_order_relaxed);
-    return rejectNow(psim::FailureReport::Kind::Overload,
-                     "tenant '" + tenant + "' exceeded its rate limit (" +
-                         std::to_string(cfg_.ratePerSec) + " req/s)");
+    return answerNow(Impl::refusal(
+        Refusal::Overload,
+        "tenant '" + tenant + "' exceeded its rate limit (" +
+            std::to_string(cfg_.ratePerSec) + " req/s)",
+        req));
   }
   {
     std::unique_lock<std::mutex> lock(im.tenantMu_);
@@ -1053,58 +1032,39 @@ std::future<Response> GradientService::submit(Request req) {
     if (cfg_.maxInflight > 0 && inflight >= cfg_.maxInflight) {
       lock.unlock();
       im.shedInflight_.fetch_add(1, std::memory_order_relaxed);
-      return rejectNow(psim::FailureReport::Kind::Overload,
-                       "tenant '" + tenant + "' has " +
-                           std::to_string(cfg_.maxInflight) +
-                           " requests in flight (inflight cap)");
+      return answerNow(Impl::refusal(Refusal::Overload,
+                                     "tenant '" + tenant + "' has " +
+                                         std::to_string(cfg_.maxInflight) +
+                                         " requests in flight (inflight cap)",
+                                     req));
     }
     ++inflight;
   }
 
-  std::uint64_t id = req.id;
   Impl::Job job;
-  double dl = req.deadlineMs != 0 ? req.deadlineMs : cfg_.deadlineMs;
-  job.deadlineNs = dl > 0 ? now + static_cast<std::uint64_t>(dl * 1e6) : 0;
+  job.deadlineNs = deadlineNs;
   job.req = std::move(req);
   std::future<Response> fut = job.promise.get_future();
-  im.submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (!im.requests_.tryPush(std::move(job))) {
-    // The moved-from job's promise died inside tryPush; answer through a
-    // fresh one. Undo the inflight charge — this request never runs.
-    {
-      std::lock_guard<std::mutex> lock(im.tenantMu_);
-      auto it = im.inflightByTenant_.find(tenant);
-      if (it != im.inflightByTenant_.end() && --it->second <= 0)
-        im.inflightByTenant_.erase(it);
-    }
-    std::promise<Response> p;
-    std::future<Response> f2 = p.get_future();
-    Response r;
-    if (im.requests_.closed()) {
-      r.ok = false;
-      r.error = "serve: service is shutting down";
-    } else {
-      im.shedOverload_.fetch_add(1, std::memory_order_relaxed);
-      Request attributed;  // req was moved into the dead job; re-attribute
-      attributed.id = id;
-      attributed.tenant = tenant;
-      r = im.rejectionResponse(
-          psim::FailureReport::Kind::Overload,
-          "request queue full (capacity " +
-              std::to_string(cfg_.queueCapacity) + "), load shed",
-          attributed);
-    }
-    r.doneAtNs = nowNs();
-    r.requestId = id;
-    r.tenant = tenant;
-    im.failed_.fetch_add(1, std::memory_order_relaxed);
-    im.completed_.fetch_add(1, std::memory_order_relaxed);
-    p.set_value(std::move(r));
-    std::lock_guard<std::mutex> lock(im.drainMu_);
-    im.drainCv_.notify_all();
-    return f2;
+  if (im.requests_.tryPush(std::move(job))) return fut;
+  // The moved-from job's promise died inside tryPush; answer through a
+  // fresh one. Undo the inflight charge — this request never runs.
+  {
+    std::lock_guard<std::mutex> lock(im.tenantMu_);
+    auto it = im.inflightByTenant_.find(tenant);
+    if (it != im.inflightByTenant_.end() && --it->second <= 0)
+      im.inflightByTenant_.erase(it);
   }
-  return fut;
+  if (im.requests_.closed()) {
+    Response r;
+    r.error = "serve: service is shutting down";
+    return answerNow(std::move(r));
+  }
+  im.shedOverload_.fetch_add(1, std::memory_order_relaxed);
+  return answerNow(Impl::refusal(Refusal::Overload,
+                                 "request queue full (capacity " +
+                                     std::to_string(cfg_.queueCapacity) +
+                                     "), load shed",
+                                 id, tenant));
 }
 
 Response GradientService::call(Request req) {
@@ -1128,10 +1088,7 @@ Response GradientService::callDirect(const Request& req) {
   try {
     bool cold = impl_->ensurePrepared(*prog);
     std::string engine = impl_->resolveEngine(req.engine);
-    std::uint64_t deadlineNs =
-        req.deadlineMs > 0
-            ? nowNs() + static_cast<std::uint64_t>(req.deadlineMs * 1e6)
-            : 0;
+    std::uint64_t deadlineNs = deadlineAt(nowNs(), req.deadlineMs);
     r = impl_->executeIsolated(*prog, req, engine, deadlineNs);
     r.batchSize = 1;
     r.coldCompile = cold;
@@ -1180,17 +1137,6 @@ ServiceStats GradientService::stats() const {
   s.programEvictions =
       impl_->programEvictions_.load(std::memory_order_relaxed);
   s.registryBytes = impl_->registryBytes_.load(std::memory_order_relaxed);
-  const auto& pc = interp::ProgramCache::global();
-  s.programCacheHits = pc.hits();
-  s.programCacheMisses = pc.misses();
-  s.programCacheInvalidations = pc.invalidations();
-  s.programCacheEvictions = pc.evictions();
-  interp::CodegenCounters cg = interp::CodegenCache::global().counters();
-  s.codegenCompiles = cg.compiles;
-  s.codegenDiskHits = cg.diskHits;
-  s.codegenMemHits = cg.memHits;
-  s.codegenFallbacks = cg.fallbacks;
-  s.codegenEvictions = cg.memEvictions + cg.diskEvictions;
   return s;
 }
 

@@ -27,14 +27,14 @@
 // this differentially.
 //
 // Robustness (DESIGN.md §15): jobs carry deadlines (expired-in-queue jobs
-// are rejected at admission without touching a worker; a batch whose
+// are refused at admission without touching a worker; a batch whose
 // earliest deadline passes mid-run is cancelled through the VM's host-cancel
-// probe and answered with a structured Deadline report), transient rank-kill
+// probe and answered with the VM's Deadline report), transient rank-kill
 // failures are retried per job with deterministic exponential backoff and a
 // per-attempt fault-seed offset (the "fresh hardware" model — a retried
 // gradient is bit-identical to a single-shot run), tenants are admission-
 // controlled by token-bucket rate limits and inflight caps, a full request
-// queue sheds load with structured Overload rejections instead of blocking
+// queue sheds load with Overload refusals instead of blocking
 // producers, programs failing repeatedly are quarantined by a per-program
 // circuit breaker with half-open probes, and the prepared-program registry
 // is LRU-bounded by bytes (evicted tenants transparently recompile).
@@ -76,9 +76,11 @@ namespace parad::serve {
 ///                             transient-failure retry re-seats from the
 ///                             job's last durable epoch instead of
 ///                             replaying from zero (DESIGN.md §16)
-/// fromEnv() validates strictly: malformed or negative values and unknown
-/// PARAD_SERVE_* names raise parad::Error (unknown names with a did-you-mean
-/// suggestion), so a typo cannot silently run with defaults.
+/// fromEnv() validates strictly: malformed, non-finite, negative or
+/// out-of-range values (integer knobs at most 2^31-1, host times at most
+/// 10^18 ns) and unknown PARAD_SERVE_* names raise parad::Error (unknown
+/// names with a did-you-mean suggestion), so a typo cannot silently run with
+/// defaults. PARAD_SERVE_CACHE_BYTES is a byte size (digits, optional K/M/G).
 struct ServeConfig {
   int workers = 4;
   int maxBatch = 16;
@@ -104,7 +106,7 @@ struct ServeConfig {
   // checkpointing fault-injected job publishes its epochs under a per-job
   // subdirectory, and each retry Machine re-seats from the newest valid
   // epoch — bounded lost work instead of replay-from-zero, counted in
-  // RunStats::serveWarmResumes. Gradients stay bit-identical either way.
+  // ServiceStats::warmResumes. Gradients stay bit-identical either way.
   std::string ckptDir;             // "" = cold retries (replay from zero)
 
   /// Reads the PARAD_SERVE_* knobs over the built-in defaults.
@@ -121,9 +123,13 @@ struct Request {
                                 // injected into this job's isolated VM only
   std::string tenant;           // admission-control key; "" = program name
   std::uint64_t id = 0;         // request id for attribution; 0 = auto
-  double deadlineMs = 0;        // 0 = service default; < 0 = no deadline
+  double deadlineMs = 0;        // 0 = service default; < 0 = no deadline;
+                                // non-finite or > 10^12 is an error
   int retryMax = -1;            // transient-retry budget; -1 = service default
 };
+
+/// Why the service answered a job without running it on a VM.
+enum class Refusal { None, Overload, CircuitOpen, Deadline };
 
 /// One gradient result (or structured failure).
 struct Response {
@@ -131,9 +137,14 @@ struct Response {
   std::vector<double> gradient;  // dx, length n (empty on failure)
   double primal = 0;             // primal value at the request's inputs
   std::string error;             // rendered failure message when !ok
-  /// Structured VM failure (rank kill, watchdog, deadlock) when the job died
-  /// inside its virtual machine; null for admission/validation errors.
+  /// Structured VM failure (rank kill, watchdog, deadlock, mid-run deadline)
+  /// when the job died inside its virtual machine; null for refusals and
+  /// admission/validation errors.
   std::shared_ptr<const psim::FailureReport> failure;
+  /// Set when the service refused the job without a VM run: shed by
+  /// admission control, short-circuited by an open breaker, or past its
+  /// deadline before execution.
+  Refusal refusal = Refusal::None;
 
   // Execution provenance.
   int batchSize = 0;       // requests coalesced into the executing batch
@@ -144,9 +155,9 @@ struct Response {
   std::uint64_t requestId = 0;  // the job's (possibly auto-assigned) id
   std::string tenant;      // the admission-control key the job ran under
   int retries = 0;         // execution attempts consumed beyond the first
-  /// Per-batch run statistics (shared by all requests of the batch), with
-  /// the process-wide cache counters snapshotted in (RunStats program
-  /// cache / codegen fields).
+  /// Statistics of the executing VM run (shared by all requests of a
+  /// batch). Cache counters live on the caches (ProgramCache::global(),
+  /// CodegenCache::global().counters()).
   psim::RunStats stats;
   std::uint64_t doneAtNs = 0;  // host steady-clock stamp at completion
 };
@@ -169,7 +180,7 @@ struct ServiceStats {
   std::uint64_t shedOverload = 0;     // rejected: request queue full
   std::uint64_t shedRate = 0;         // rejected: tenant token bucket dry
   std::uint64_t shedInflight = 0;     // rejected: tenant inflight cap
-  std::uint64_t deadlineExpired = 0;  // jobs answered with a Deadline report
+  std::uint64_t deadlineExpired = 0;  // jobs that died on their deadline
   std::uint64_t retries = 0;          // transient re-execution attempts
   std::uint64_t warmResumes = 0;      // retries re-seated from durable epochs
   std::uint64_t breakerOpens = 0;     // circuit transitions closed -> open
@@ -177,22 +188,7 @@ struct ServiceStats {
   std::uint64_t breakerProbes = 0;    // half-open probe jobs admitted
   std::uint64_t programEvictions = 0; // prepared tenants evicted by byte cap
   std::uint64_t registryBytes = 0;    // prepared tenant-program bytes held
-  // Process-wide cache counter snapshot (sharded ProgramCache + codegen
-  // artifact cache) at the time of the stats() call.
-  std::uint64_t programCacheHits = 0;
-  std::uint64_t programCacheMisses = 0;
-  std::uint64_t programCacheInvalidations = 0;
-  std::uint64_t programCacheEvictions = 0;
-  std::uint64_t codegenCompiles = 0;
-  std::uint64_t codegenDiskHits = 0;
-  std::uint64_t codegenMemHits = 0;
-  std::uint64_t codegenFallbacks = 0;
-  std::uint64_t codegenEvictions = 0;  // artifact mem + disk LRU evictions
 };
-
-/// Snapshots the process-wide compile-cache counters into a RunStats record
-/// (the serve/bench surface of the cache telemetry).
-void fillCacheCounters(psim::RunStats& stats);
 
 /// The multi-tenant gradient server. Thread-safe: any number of client
 /// threads may register programs and submit requests concurrently.

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -507,6 +508,52 @@ TEST(Durable, StaleFingerprintColdStarts) {
   EXPECT_TRUE(sawStale);
 }
 
+TEST(Durable, OldRunStatsLayoutColdStarts) {
+  // Epochs written before RunStats lost its 13 serve/cache fields carry a
+  // 41-field stats block. The store accepts the record (fingerprint and
+  // checksum are fine), deserialization rejects the layout, and the run
+  // remarks the skip and cold-starts with correct values.
+  const int R = 4;
+  const i64 N = 8;
+  TempDir dir("parad_durable_layout");
+  psim::MachineConfig dur = cleanConfig(17);
+  dur.ckptDir = dir.path;
+  psim::Machine first(dur);
+  RingOut clean = runRing(first, R, N);
+
+  // Rewrite every epoch with the old layout: stats length 41 * 8 and 13
+  // zero fields appended to the stats block (which follows the 9-word
+  // header and its length word).
+  constexpr std::size_t kStatsLenAt = 9 * 8;
+  constexpr std::uint64_t kOldStatsBytes = 41 * 8;
+  io::DurableStore store(first.checkpoints()->store()->config());
+  std::vector<std::string> names = store.list();
+  ASSERT_FALSE(names.empty());
+  for (const std::string& name : names) {
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(store.get(name, &bytes));
+    std::uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + kStatsLenAt, sizeof len);
+    ASSERT_EQ(len, sizeof(psim::RunStats));
+    std::memcpy(bytes.data() + kStatsLenAt, &kOldStatsBytes, sizeof len);
+    bytes.insert(bytes.begin() + kStatsLenAt + 8 + sizeof(psim::RunStats),
+                 kOldStatsBytes - sizeof(psim::RunStats), 0);
+    ASSERT_TRUE(store.put(name, bytes));
+  }
+
+  psim::Machine m(dur);
+  RingOut out = runRing(m, R, N);
+  EXPECT_EQ(out.stats.durableResumes, 0u);
+  EXPECT_EQ(out.recv, clean.recv);
+  int skipped = 0;
+  for (const std::string& r : m.checkpoints()->remarks())
+    if (r.find("RunStats layout changed") != std::string::npos) ++skipped;
+  EXPECT_EQ(skipped, static_cast<int>(names.size()));
+  EXPECT_EQ(m.checkpoints()->remarks().back(),
+            "durable: no valid epoch record in '" + dir.path +
+                "'; cold start");
+}
+
 // ---------------------------------------------------------------------------
 // Adversarial deserialization: arbitrary byte damage must surface as a
 // structured parad::Error (or a harmless successful decode when the damage
@@ -627,8 +674,8 @@ std::vector<double> serveInput(std::size_t n) {
 TEST(Durable, ServeWarmRetryResume) {
   // A transient rank-kill retry re-seats from the job's last durable epoch:
   // the retry attempt's Machine opens the per-job directory the failed
-  // attempt published into. Observable end to end — per-response
-  // serveWarmResumes, the service-wide warmResumes counter — and the
+  // attempt published into. Observable end to end — the answering
+  // attempt's durableResumes, the service-wide warmResumes counter — and the
   // retried gradient is still bit-identical to the clean single-shot run.
   constexpr std::size_t kN = 5;
   TempDir dir("parad_durable_serve");
@@ -661,10 +708,9 @@ TEST(Durable, ServeWarmRetryResume) {
                        killNs + ",ckpt_interval=1,retry=0";
     faulty.retryMax = 3;
     r = svc.call(faulty);
-    succeeded = r.ok && r.retries > 0 && r.stats.serveWarmResumes > 0;
+    succeeded = r.ok && r.retries > 0 && r.stats.durableResumes > 0;
   }
   ASSERT_TRUE(succeeded) << r.error;
-  EXPECT_GT(r.stats.durableResumes, 0u);
   EXPECT_GT(svc.stats().warmResumes, before.warmResumes);
   EXPECT_EQ(r.primal, want.primal);
   ASSERT_EQ(r.gradient.size(), kN);

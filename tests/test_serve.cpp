@@ -8,6 +8,9 @@
 #include <chrono>
 #include <deque>
 #include <future>
+#include <iomanip>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -262,9 +265,11 @@ TEST(Serve, ColdThenHotSurfacesCacheCounters) {
   serve::Request req;
   req.program = "poly";
   req.inputs = inputFor(0, kN);
+  const interp::ProgramCache& pc = interp::ProgramCache::global();
   serve::Response r1 = svc.call(req);
   ASSERT_TRUE(r1.ok) << r1.error;
   EXPECT_TRUE(r1.coldCompile);
+  const std::uint64_t hitsAfterCold = pc.hits();
   serve::Response r2 = svc.call(req);
   ASSERT_TRUE(r2.ok) << r2.error;
   EXPECT_FALSE(r2.coldCompile);
@@ -273,10 +278,9 @@ TEST(Serve, ColdThenHotSurfacesCacheCounters) {
   serve::ServiceStats st = svc.stats();
   EXPECT_EQ(st.coldCompiles, 1u);
   // The hot request re-looked-up the lowered closure: the sharded cache's
-  // counters (snapshotted into every response's RunStats) must have moved.
-  EXPECT_GT(r2.stats.programCacheHits, 0u);
-  EXPECT_GE(r2.stats.programCacheHits, r1.stats.programCacheHits);
-  EXPECT_GT(st.programCacheMisses, 0u);
+  // counters must have moved.
+  EXPECT_GT(pc.hits(), hitsAfterCold);
+  EXPECT_GT(pc.misses(), 0u);
 }
 
 TEST(Serve, SameFingerprintTenantsShareProgramAndBatches) {
@@ -357,11 +361,9 @@ TEST(Serve, AdmissionRejectsStructurally) {
   badEngine.engine = "exe";
   r = svc.call(badEngine);
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("unknown backend 'exe'"), std::string::npos)
-      << r.error;
-  EXPECT_NE(r.error.find("did you mean 'exec'?"), std::string::npos)
-      << r.error;
-  EXPECT_NE(r.error.find("backends: "), std::string::npos) << r.error;
+  EXPECT_EQ(r.error,
+            "engine: unknown backend 'exe' (did you mean 'exec'?) "
+            "(backends: codegen, exec, tree)");
 
   serve::Request badFaults;
   badFaults.program = "poly";
@@ -507,6 +509,15 @@ TEST(CacheConcurrency, HammerSharedAndDistinctFingerprints) {
 
 using test::EnvVar;
 
+/// The knob-list tail of every unknown-knob error.
+constexpr const char* kServeKnobList =
+    " (knobs: PARAD_SERVE_BATCH, PARAD_SERVE_BREAKER, "
+    "PARAD_SERVE_BREAKER_COOLDOWN_MS, PARAD_SERVE_BURST, "
+    "PARAD_SERVE_CACHE_BYTES, PARAD_SERVE_CKPT_DIR, PARAD_SERVE_DEADLINE_MS, "
+    "PARAD_SERVE_ENGINE, PARAD_SERVE_INFLIGHT, PARAD_SERVE_MAX_DELAY_US, "
+    "PARAD_SERVE_QUEUE, PARAD_SERVE_RATE, PARAD_SERVE_RETRY, "
+    "PARAD_SERVE_RETRY_BACKOFF_US, PARAD_SERVE_SMOKE, PARAD_SERVE_THREADS)";
+
 std::string fromEnvError() {
   try {
     (void)serve::ServeConfig::fromEnv();
@@ -518,26 +529,18 @@ std::string fromEnvError() {
 
 TEST(ServeConfigEnv, UnknownKnobFailsWithDidYouMean) {
   EnvVar typo("PARAD_SERVE_DEDLINE_MS", "5");
-  std::string msg = fromEnvError();
-  EXPECT_NE(msg.find("serve: unknown environment knob "
-                     "'PARAD_SERVE_DEDLINE_MS'"),
-            std::string::npos)
-      << msg;
-  EXPECT_NE(msg.find("did you mean 'PARAD_SERVE_DEADLINE_MS'?"),
-            std::string::npos)
-      << msg;
+  EXPECT_EQ(fromEnvError(),
+            "serve: unknown environment knob 'PARAD_SERVE_DEDLINE_MS' (did "
+            "you mean 'PARAD_SERVE_DEADLINE_MS'?)" +
+                std::string(kServeKnobList));
 }
 
 TEST(ServeConfigEnv, UnknownKnobFarFromEverythingListsTheKnobs) {
   EnvVar bogus("PARAD_SERVE_WIBBLE_WOBBLE", "1");
-  std::string msg = fromEnvError();
-  EXPECT_NE(msg.find("unknown environment knob 'PARAD_SERVE_WIBBLE_WOBBLE'"),
-            std::string::npos)
-      << msg;
   // Too far from any real knob for a did-you-mean; the full list is shown.
-  EXPECT_EQ(msg.find("did you mean"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("knobs: PARAD_SERVE_BATCH"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("PARAD_SERVE_THREADS"), std::string::npos) << msg;
+  EXPECT_EQ(fromEnvError(),
+            "serve: unknown environment knob 'PARAD_SERVE_WIBBLE_WOBBLE'" +
+                std::string(kServeKnobList));
 }
 
 TEST(ServeConfigEnv, MalformedAndNegativeValuesFailLoudly) {
@@ -577,6 +580,45 @@ TEST(ServeConfigEnv, MalformedAndNegativeValuesFailLoudly) {
   }
 }
 
+TEST(ServeConfigEnv, NonFiniteAndOutOfRangeValuesFailLoudly) {
+  auto errorFor = [](const char* knob, const char* value) {
+    EnvVar v(knob, value);
+    return fromEnvError();
+  };
+  EXPECT_EQ(errorFor("PARAD_SERVE_THREADS", "1e10"),
+            "serve: PARAD_SERVE_THREADS must be at most 2147483647, got "
+            "'1e10'");
+  EXPECT_EQ(errorFor("PARAD_SERVE_THREADS", "nan"),
+            "serve: PARAD_SERVE_THREADS must be finite, got 'nan'");
+  EXPECT_EQ(errorFor("PARAD_SERVE_QUEUE", "1.5"),
+            "serve: PARAD_SERVE_QUEUE must be a non-negative integer, got "
+            "'1.5'");
+  EXPECT_EQ(errorFor("PARAD_SERVE_MAX_DELAY_US", "inf"),
+            "serve: PARAD_SERVE_MAX_DELAY_US must be finite, got 'inf'");
+  EXPECT_EQ(errorFor("PARAD_SERVE_MAX_DELAY_US", "1e16"),
+            "serve: PARAD_SERVE_MAX_DELAY_US must be at most "
+            "1000000000000000, got '1e16'");
+  EXPECT_EQ(errorFor("PARAD_SERVE_DEADLINE_MS", "1e30"),
+            "serve: PARAD_SERVE_DEADLINE_MS must be at most 1000000000000, "
+            "got '1e30'");
+  EXPECT_EQ(errorFor("PARAD_SERVE_RATE", "-inf"),
+            "serve: PARAD_SERVE_RATE must be finite, got '-inf'");
+  // The registry cap is a byte size like the other four byte caps.
+  const std::string notBytes =
+      "' is not a byte size (expected decimal digits, optionally followed by "
+      "K, M or G)";
+  EXPECT_EQ(errorFor("PARAD_SERVE_CACHE_BYTES", "1e30"),
+            "PARAD_SERVE_CACHE_BYTES='1e30" + notBytes);
+  EXPECT_EQ(errorFor("PARAD_SERVE_CACHE_BYTES", "1.5"),
+            "PARAD_SERVE_CACHE_BYTES='1.5" + notBytes);
+  EXPECT_EQ(errorFor("PARAD_SERVE_CACHE_BYTES", "99999999999999999999G"),
+            "PARAD_SERVE_CACHE_BYTES='99999999999999999999G' overflows a byte "
+            "size");
+  EnvVar cap("PARAD_SERVE_CACHE_BYTES", "64M");
+  EXPECT_EQ(serve::ServeConfig::fromEnv().registryCapacityBytes,
+            std::size_t{64} << 20);
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines.
 
@@ -606,20 +648,15 @@ TEST(ServeRobust, QueuedDeadlineExpiryIsStructuredAndSparesBatchMates) {
 
   serve::Response rd = fd.get();
   EXPECT_FALSE(rd.ok);
-  ASSERT_NE(rd.failure, nullptr);
-  EXPECT_EQ(rd.failure->kind, psim::FailureReport::Kind::Deadline);
-  // No VM ever ran: the report renders as a service-level rejection and
-  // carries the request's attribution.
-  EXPECT_NE(rd.error.find("gradient service deadline"), std::string::npos)
-      << rd.error;
-  EXPECT_NE(rd.error.find("deadline expired in queue for program 'poly'"),
-            std::string::npos)
-      << rd.error;
-  EXPECT_NE(rd.error.find("request 4242, tenant 'acme'"), std::string::npos)
-      << rd.error;
+  // No VM ever ran: the service refused the job itself, with the request's
+  // attribution.
+  EXPECT_EQ(rd.refusal, serve::Refusal::Deadline);
+  EXPECT_EQ(rd.failure, nullptr);
+  EXPECT_EQ(rd.error,
+            "gradient service deadline: deadline expired in queue for "
+            "program 'poly'\n  request 4242, tenant 'acme'");
   EXPECT_EQ(rd.requestId, 4242u);
   EXPECT_EQ(rd.tenant, "acme");
-  EXPECT_EQ(rd.stats.serveDeadlineHits, 1u);
 
   serve::Response rf = ff.get();
   ASSERT_TRUE(rf.ok) << rf.error;
@@ -646,8 +683,7 @@ TEST(ServeRobust, RequestOptsOutOfServiceDefaultDeadline) {
   doomed.inputs = inputFor(0, kN);
   serve::Response rd = svc.call(doomed);
   EXPECT_FALSE(rd.ok);
-  ASSERT_NE(rd.failure, nullptr);
-  EXPECT_EQ(rd.failure->kind, psim::FailureReport::Kind::Deadline);
+  EXPECT_EQ(rd.refusal, serve::Refusal::Deadline);
 
   serve::Request immortal;  // ...unless the request opts out explicitly.
   immortal.program = "poly";
@@ -655,8 +691,7 @@ TEST(ServeRobust, RequestOptsOutOfServiceDefaultDeadline) {
   immortal.deadlineMs = -1;
   serve::Response ri = svc.call(immortal);
   ASSERT_TRUE(ri.ok) << ri.error;
-  EXPECT_EQ(ri.stats.serveDeadlineHits, 0u);
-  EXPECT_GE(svc.stats().deadlineExpired, 1u);
+  EXPECT_EQ(svc.stats().deadlineExpired, 1u);
 }
 
 TEST(ServeRobust, MidRunDeadlineCancelsJobWhileBatchMateSurvives) {
@@ -684,10 +719,10 @@ TEST(ServeRobust, MidRunDeadlineCancelsJobWhileBatchMateSurvives) {
 
   serve::Response rd = fd.get();
   EXPECT_FALSE(rd.ok);
-  ASSERT_NE(rd.failure, nullptr);
-  EXPECT_EQ(rd.failure->kind, psim::FailureReport::Kind::Deadline)
-      << rd.error;
-  EXPECT_EQ(rd.stats.serveDeadlineHits, 1u);
+  // The batch was cancelled at the deadline, so the doomed job's isolated
+  // re-execution finds it expired and is refused before a VM run.
+  EXPECT_EQ(rd.refusal, serve::Refusal::Deadline) << rd.error;
+  EXPECT_EQ(rd.failure, nullptr);
 
   serve::Response rf = ff.get();
   ASSERT_TRUE(rf.ok) << rf.error;
@@ -696,6 +731,78 @@ TEST(ServeRobust, MidRunDeadlineCancelsJobWhileBatchMateSurvives) {
   serve::ServiceStats st = svc.stats();
   EXPECT_GE(st.deadlineExpired, 1u);
   EXPECT_EQ(st.failed, 1u);
+}
+
+TEST(ServeRobust, MidRunDeadlineRendersTheVmReportWithAttribution) {
+  // The reference path arms the deadline just before the VM run, so a job
+  // far slower than its deadline is cancelled mid-flight: the answer is the
+  // VM's own Deadline report, attributed to the request.
+  constexpr std::size_t kN = 1u << 18;
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  serve::GradientService svc(cfg);
+  svc.registerProgram("heavy", servable(0.75), "f", static_cast<i64>(kN));
+
+  serve::Request doomed;
+  doomed.program = "heavy";
+  doomed.inputs = inputFor(0, kN);
+  doomed.deadlineMs = 2.0;
+  doomed.id = 77;
+  doomed.tenant = "acme";
+  serve::Response rd = svc.callDirect(doomed);
+  EXPECT_FALSE(rd.ok);
+  ASSERT_NE(rd.failure, nullptr) << rd.error;
+  EXPECT_EQ(rd.failure->kind, psim::FailureReport::Kind::Deadline);
+  ASSERT_EQ(rd.failure->ranks.size(), 1u);
+  // Only the cancel point is timing-dependent; everything around it is
+  // pinned.
+  const std::string& detail = rd.failure->detail;
+  const std::string head = "run cancelled by host at rank 0, virtual time ";
+  const std::string tail = "ns (deadline exceeded)";
+  ASSERT_GT(detail.size(), head.size() + tail.size()) << detail;
+  EXPECT_EQ(detail.substr(0, head.size()), head);
+  EXPECT_EQ(detail.substr(detail.size() - tail.size()), tail);
+  std::ostringstream clock;
+  clock << std::fixed << std::setprecision(1) << rd.failure->ranks[0].clock;
+  EXPECT_EQ(rd.error, "virtual machine deadline: " + detail +
+                          "\n  request 77, tenant 'acme'\n  rank 0 @ " +
+                          clock.str() + "ns: running, inbox depth 0");
+}
+
+TEST(ServeRobust, UnrepresentableDeadlineIsAnErrorWithoutAVmRun) {
+  constexpr std::size_t kN = 4;
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  serve::GradientService svc(cfg);
+  svc.registerProgram("poly", servable(2.0), "f", kN);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, const char*> cases[] = {
+      {inf, "inf"},
+      {-inf, "-inf"},
+      {std::numeric_limits<double>::quiet_NaN(), "nan"},
+      {1e30, "1e+30"}};
+  for (const auto& [ms, text] : cases) {
+    SCOPED_TRACE(text);
+    const std::string want = std::string("serve: deadline of ") + text +
+                             " ms is out of range (at most 1000000000000 ms)";
+    serve::Request req;
+    req.program = "poly";
+    req.inputs = inputFor(0, kN);
+    req.deadlineMs = ms;
+    serve::Response r = svc.call(req);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, want);
+    EXPECT_EQ(r.refusal, serve::Refusal::None);
+    EXPECT_EQ(r.failure, nullptr);
+    serve::Response d = svc.callDirect(req);
+    EXPECT_FALSE(d.ok);
+    EXPECT_EQ(d.error, want);
+  }
+  serve::ServiceStats st = svc.stats();
+  EXPECT_EQ(st.isolatedRuns + st.batches, 0u);
+  EXPECT_EQ(st.failed, 4u);
+  EXPECT_EQ(st.deadlineExpired, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -759,7 +866,6 @@ TEST(ServeRobust, TransientFailureRetriedBitExactOnEveryEngine) {
     // Exactly one retry was consumed, it is visible end to end, and the
     // retried gradient is bit-identical to the clean single-shot run.
     EXPECT_EQ(r.retries, 1);
-    EXPECT_EQ(r.stats.serveRetries, 1u);
     EXPECT_EQ(svc.stats().retries, before.retries + 1);
     EXPECT_EQ(r.primal, want.primal);
     ASSERT_EQ(r.gradient.size(), kN);
@@ -782,12 +888,21 @@ TEST(ServeRobust, RetryBudgetExhaustedSurfacesTheLastFailure) {
   req.inputs = inputFor(0, kN);
   req.faultSpec = "seed=3,kill=1,killns=5,retry=0";  // kill=1: every attempt
   req.retryMax = 2;
+  req.id = 31;
+  req.tenant = "acme";
+  req.engine = "exec";  // the kill is noticed at an engine-specific probe
   serve::Response r = svc.call(req);
   EXPECT_FALSE(r.ok);
   ASSERT_NE(r.failure, nullptr);
   EXPECT_EQ(r.failure->kind, psim::FailureReport::Kind::RankKilled);
+  // The VM report with the request's attribution after its headline.
+  EXPECT_EQ(r.error,
+            "virtual machine rank killed: rank 0 killed at virtual time "
+            "384.781ns; checkpointing is disabled (set ckpt_interval to "
+            "recover)\n  request 31, tenant 'acme'\n  dead rank: 0, last "
+            "checkpoint epoch: none\n  rank 0 @ 384.8ns: killed, inbox depth "
+            "0");
   EXPECT_EQ(r.retries, 2);  // the whole budget was spent
-  EXPECT_EQ(r.stats.serveRetries, 2u);
   EXPECT_GE(svc.stats().retries, 2u);
 }
 
@@ -811,11 +926,11 @@ TEST(ServeRobust, RateLimitShedsPerTenant) {
 
   serve::Response r2 = svc.call(req);
   EXPECT_FALSE(r2.ok);
-  ASSERT_NE(r2.failure, nullptr);
-  EXPECT_EQ(r2.failure->kind, psim::FailureReport::Kind::Overload);
-  EXPECT_NE(r2.error.find("tenant 'poly' exceeded its rate limit"),
-            std::string::npos)
-      << r2.error;
+  EXPECT_EQ(r2.refusal, serve::Refusal::Overload);
+  EXPECT_EQ(r2.failure, nullptr);
+  EXPECT_EQ(r2.error,
+            "gradient service overload: tenant 'poly' exceeded its rate "
+            "limit (0.000001 req/s)\n  request 2, tenant 'poly'");
 
   // Buckets are per tenant: another tenant key on the same program passes.
   serve::Request other = req;
@@ -843,12 +958,11 @@ TEST(ServeRobust, InflightCapShedsPerTenant) {
 
   serve::Response r2 = svc.call(req);
   EXPECT_FALSE(r2.ok);
-  ASSERT_NE(r2.failure, nullptr);
-  EXPECT_EQ(r2.failure->kind, psim::FailureReport::Kind::Overload);
-  EXPECT_NE(r2.error.find(
-                "tenant 'heavy' has 1 requests in flight (inflight cap)"),
-            std::string::npos)
-      << r2.error;
+  EXPECT_EQ(r2.refusal, serve::Refusal::Overload);
+  EXPECT_EQ(r2.failure, nullptr);
+  EXPECT_EQ(r2.error,
+            "gradient service overload: tenant 'heavy' has 1 requests in "
+            "flight (inflight cap)\n  request 2, tenant 'heavy'");
 
   serve::Request other = req;
   other.tenant = "vip";
@@ -896,11 +1010,12 @@ TEST(ServeRobust, FullQueueShedsOverloadInsteadOfBlocking) {
       ++ok;
       continue;
     }
-    ASSERT_NE(r.failure, nullptr) << r.error;
-    EXPECT_EQ(r.failure->kind, psim::FailureReport::Kind::Overload);
-    EXPECT_NE(r.error.find("request queue full (capacity 1), load shed"),
-              std::string::npos)
-        << r.error;
+    EXPECT_EQ(r.refusal, serve::Refusal::Overload) << r.error;
+    EXPECT_EQ(r.failure, nullptr);
+    EXPECT_EQ(r.error,
+              "gradient service overload: request queue full (capacity 1), "
+              "load shed\n  request " +
+                  std::to_string(r.requestId) + ", tenant 'heavy'");
     EXPECT_NE(r.requestId, 0u);  // attribution survives the shed path
     ++shed;
   }
@@ -946,14 +1061,12 @@ TEST(ServeRobust, CircuitBreakerQuarantinesThenRecoversViaHalfOpenProbe) {
   // admission — structurally, and without consuming a worker or a VM.
   serve::Response r = svc.call(good);
   EXPECT_FALSE(r.ok);
-  ASSERT_NE(r.failure, nullptr);
-  EXPECT_EQ(r.failure->kind, psim::FailureReport::Kind::CircuitOpen);
-  EXPECT_NE(r.error.find("gradient service circuit open"), std::string::npos)
-      << r.error;
-  EXPECT_NE(r.error.find("program 'indexed' quarantined after 2 consecutive "
-                         "failures"),
-            std::string::npos)
-      << r.error;
+  EXPECT_EQ(r.refusal, serve::Refusal::CircuitOpen);
+  EXPECT_EQ(r.failure, nullptr);
+  EXPECT_EQ(r.error,
+            "gradient service circuit open: program 'indexed' quarantined "
+            "after 2 consecutive failures (cooldown 150.000000 ms)\n  "
+            "request 3, tenant 'indexed'");
   st = svc.stats();
   EXPECT_GE(st.breakerShortCircuits, 1u);
   EXPECT_EQ(st.isolatedRuns, isolatedBefore);
@@ -1003,8 +1116,7 @@ TEST(ServeRobust, FailedHalfOpenProbeReopensTheCircuit) {
 
   serve::Response r = svc.call(good);
   EXPECT_FALSE(r.ok);
-  ASSERT_NE(r.failure, nullptr);
-  EXPECT_EQ(r.failure->kind, psim::FailureReport::Kind::CircuitOpen);
+  EXPECT_EQ(r.refusal, serve::Refusal::CircuitOpen);
 
   // A clean probe after another cooldown still heals the program.
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
@@ -1054,8 +1166,6 @@ TEST(ServeRobust, RegistryEvictionRecompilesBitExact) {
   ASSERT_EQ(a2.gradient.size(), kN);
   for (std::size_t k = 0; k < kN; ++k)
     EXPECT_EQ(a2.gradient[k], a1.gradient[k]) << "k=" << k;
-  // The eviction telemetry rides along in the response's RunStats snapshot.
-  EXPECT_GE(a2.stats.serveProgramEvictions, 2u);
   EXPECT_GE(svc.stats().coldCompiles, 3u);
 
   // An unbounded service never evicts (control).

@@ -1,11 +1,22 @@
-// Shared support utilities: strict byte-size knob parsing.
+// Shared support utilities: strict byte-size knob parsing, did-you-mean
+// hints, the byte-capped LRU, and the values of the FNV-1a fingerprints
+// built on the shared hasher (the checkpoint and store checksums, the
+// ProgramCache revalidation fingerprint, and the content address of codegen
+// artifacts on disk).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <limits>
 #include <string>
 
+#include "src/apps/lulesh/lulesh.h"
+#include "src/apps/minibude/minibude.h"
+#include "src/interp/codegen.h"
+#include "src/interp/lower.h"
+#include "src/io/store.h"
 #include "src/support/bytes.h"
+#include "src/support/lru.h"
+#include "src/support/suggest.h"
 #include "tests/test_util.h"
 
 using namespace parad;
@@ -92,4 +103,93 @@ TEST(ByteSize, EnvKnobsParseStrictly) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fingerprint values. Changing any of these invalidates on-disk checkpoint
+// epochs and codegen artifacts, so they are pinned bit for bit.
+
+TEST(Fingerprint, FnvOfFixedBytes) {
+  const std::string text = "parad fnv-1a";
+  EXPECT_EQ(io::fnv1a(text.data(), text.size()), 13650412366705294144ull);
+  EXPECT_EQ(io::fnv1a("", 0), 0xcbf29ce484222325ull);
+  // Chaining continues from the previous value.
+  EXPECT_EQ(io::fnv1a(text.data() + 6, text.size() - 6,
+                      io::fnv1a(text.data(), 6)),
+            io::fnv1a(text.data(), text.size()));
+}
+
+TEST(Fingerprint, AppFunctionsAndTheirClosures) {
+  ir::Module lulesh = apps::lulesh::build(apps::lulesh::Config{});
+  ir::Module bude = apps::minibude::build(apps::minibude::Config{});
+  EXPECT_EQ(interp::fingerprint(lulesh.get("lulesh")), 17695006480895092974ull);
+  EXPECT_EQ(interp::fingerprint(bude.get("bude")), 11304693426833195575ull);
+  apps::lulesh::prepare(lulesh);
+  apps::minibude::prepare(bude);
+  EXPECT_EQ(interp::closureFingerprint(
+                *interp::compileClosure(lulesh, lulesh.get("lulesh"))),
+            13129328891916044741ull);
+  EXPECT_EQ(interp::closureFingerprint(
+                *interp::compileClosure(bude, bude.get("bude"))),
+            5345069560200579244ull);
+}
+
+// ---------------------------------------------------------------------------
+// Did-you-mean.
+
+TEST(DidYouMean, SuggestsOnlyCloseNamesFirstWins) {
+  const char* const names[] = {"exec", "tree", "codegen"};
+  EXPECT_EQ(didYouMean("exe", names), " (did you mean 'exec'?)");
+  EXPECT_EQ(didYouMean("trie", names), " (did you mean 'tree'?)");
+  EXPECT_EQ(didYouMean("fortran", names), "");  // distance 3+: no guess
+  // Ties go to the earliest candidate.
+  const char* const tied[] = {"ab", "ba"};
+  EXPECT_EQ(didYouMean("aa", tied), " (did you mean 'ab'?)");
+  EXPECT_EQ(editDistance("kitten", "sitting"), 3u);
+  EXPECT_EQ(editDistance("", "abc"), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Byte-capped LRU.
+
+TEST(ByteLru, TouchOrderEvictionAndAccounting) {
+  ByteLru<std::string, int> lru;
+  EXPECT_EQ(lru.put("a", 1, 10, 0), 0u);
+  EXPECT_EQ(lru.put("b", 2, 10, 0), 0u);
+  EXPECT_EQ(lru.put("c", 3, 10, 0), 0u);
+  EXPECT_EQ(lru.bytes(), 30u);
+  EXPECT_EQ(lru.get("zz"), nullptr);
+
+  // A hit makes "a" most recently used, so "b" is now the eviction victim.
+  ASSERT_NE(lru.get("a"), nullptr);
+  EXPECT_EQ(*lru.get("a"), 1);
+  EXPECT_EQ(lru.put("d", 4, 10, 30), 1u);
+  EXPECT_EQ(lru.get("b"), nullptr);
+  EXPECT_NE(lru.get("a"), nullptr);
+  EXPECT_EQ(lru.size(), 3u);
+  EXPECT_EQ(lru.bytes(), 30u);
+
+  // Replacing an entry re-accounts its bytes and moves it to the front.
+  EXPECT_EQ(lru.put("c", 33, 4, 0), 0u);
+  EXPECT_EQ(*lru.get("c"), 33);
+  EXPECT_EQ(lru.bytes(), 24u);
+
+  // An insert larger than the cap evicts everything else but survives.
+  EXPECT_EQ(lru.put("big", 5, 100, 50), 3u);
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_EQ(lru.bytes(), 100u);
+  EXPECT_EQ(*lru.get("big"), 5);
+
+  // Erase and clear keep the byte sum exact.
+  lru.put("e", 6, 7, 0);
+  EXPECT_TRUE(lru.erase("big"));
+  EXPECT_FALSE(lru.erase("big"));
+  EXPECT_EQ(lru.bytes(), 7u);
+  lru.put("f", 7, 8, 0);
+  EXPECT_EQ(lru.eraseIf([](const std::string& k, int) { return k == "f"; }),
+            1u);
+  EXPECT_EQ(lru.bytes(), 7u);
+  EXPECT_EQ(lru.clear(), 1u);
+  EXPECT_EQ(lru.size(), 0u);
+  EXPECT_EQ(lru.bytes(), 0u);
 }
