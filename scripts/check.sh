@@ -9,7 +9,7 @@
 #   TSAN=1 ./scripts/check.sh          # ThreadSanitizer build, concurrency
 #                                      # suites only (serve pipeline, sharded
 #                                      # cache hammer, backend registry,
-#                                      # psim rank fibers)
+#                                      # program cache, psim rank fibers)
 #   CHAOS=1 ./scripts/check.sh         # widened fault-injection chaos sweep
 #   SCALE=1 ./scripts/check.sh         # 4096-virtual-rank weak-scaling smoke
 #   SERVE=1 ./scripts/check.sh         # serving-layer suite + mixed-traffic
@@ -51,15 +51,17 @@ if [[ "${TSAN:-0}" == "1" ]]; then
   # exercise real host-thread concurrency (the serving pipeline, the sharded
   # program-cache hammer, the backend registry) or fiber switches (the psim
   # suites run multi-rank machines, whose ranks are fibers on a per-run
-  # carrier thread). The full suite under TSan would mostly re-measure
-  # single-threaded VM code at ~10x slowdown.
+  # carrier thread), plus the program-cache suite, whose per-run closure
+  # memo is per-thread state that concurrent serve workers each touch. The
+  # full suite under TSan would mostly re-measure single-threaded VM code at
+  # ~10x slowdown.
   BUILD_DIR=${BUILD_DIR}-tsan
   CMAKE_ARGS+=(-DPARAD_SANITIZE=thread)
   export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1}
   cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
   cmake --build "$BUILD_DIR" -j "$JOBS"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R '^(Serve|ServeQueue|BoundedQueue|CacheConcurrency|BackendRegistry|Psim|PsimModel)\.'
+    -R '^(Serve|ServeQueue|BoundedQueue|CacheConcurrency|BackendRegistry|ExecCache|Psim|PsimModel)\.'
   exit 0
 fi
 

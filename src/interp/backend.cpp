@@ -35,7 +35,8 @@ class ExecEngineBackend final : public ExecBackend {
   RtVal run(const ir::Module& mod, const ir::Function& fn,
             std::vector<RtVal> args, psim::Machine& machine,
             psim::RankEnv& env) const override {
-    std::shared_ptr<const ExecModule> xm = compileClosure(mod, fn);
+    std::shared_ptr<const ExecModule> xm =
+        compileClosure(mod, fn, machine.runId());
     Executor ex(*xm, machine);
     return ex.run(std::move(args), env);
   }

@@ -729,7 +729,7 @@ class CodegenExecutor final : public Executor {
     if (rr.ts == rr.root) e.machine_.checkKill(rr.env->rank, rr.ts->w.clock);
     std::uint64_t wd = e.machine_.config().watchdogInsts;
     if (wd != 0 && rr.insts > wd)
-      e.machine_.failWatchdog(rr.env->rank, rr.insts);
+      e.machine_.failWatchdog(rr.env->rank, rr.insts, rr.ts->w.clock);
     double tb = e.machine_.watchdogTimeBound();
     if (tb > 0 && rr.ts->w.clock > tb)
       e.machine_.failWatchdogTime(rr.env->rank, rr.ts->w.clock);
@@ -1102,9 +1102,22 @@ class CodegenBackend final : public ExecBackend {
   RtVal run(const ir::Module& mod, const ir::Function& fn,
             std::vector<RtVal> args, psim::Machine& machine,
             psim::RankEnv& env) const override {
-    std::shared_ptr<const ExecModule> xm = compileClosure(mod, fn);
-    std::shared_ptr<const CodegenArtifact> art =
-        CodegenCache::global().lookup(*xm);
+    std::uint64_t runId = machine.runId();
+    std::shared_ptr<const ExecModule> xm = compileClosure(mod, fn, runId);
+    // Like compileClosure: the artifact is looked up once per run and
+    // closure, and reused by the run's later ranks (all on this thread).
+    thread_local struct {
+      std::uint64_t runId = 0;
+      std::shared_ptr<const ExecModule> xm;
+      std::shared_ptr<const CodegenArtifact> art;
+    } memo;
+    std::shared_ptr<const CodegenArtifact> art;
+    if (runId != 0 && memo.runId == runId && memo.xm == xm) {
+      art = memo.art;
+    } else {
+      art = CodegenCache::global().lookup(*xm);
+      if (runId != 0) memo = {runId, xm, art};
+    }
     if (art == nullptr) {
       // Graceful fallback (no compiler / compile failure): run the same
       // lowered program on the exec engine — bit-identical by contract.

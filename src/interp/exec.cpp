@@ -647,7 +647,8 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
   // a per-instruction branch. The time bound comes from the machine (config
   // plus checkpoint-recovery slack), not the raw config.
   std::uint64_t wd = machine_.config().watchdogInsts;
-  if (wd != 0 && rr.insts > wd) machine_.failWatchdog(rr.env->rank, rr.insts);
+  if (wd != 0 && rr.insts > wd)
+    machine_.failWatchdog(rr.env->rank, rr.insts, w.clock);
   double tb = machine_.watchdogTimeBound();
   if (tb > 0 && w.clock > tb) machine_.failWatchdogTime(rr.env->rank, w.clock);
   return Flow::Normal;

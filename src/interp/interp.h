@@ -60,8 +60,10 @@ std::string defaultEngine();
 void setDefaultEngine(std::string_view engine);
 
 /// Facade over the backend registry. Construction is cheap; lowered programs
-/// are cached process-wide per function (see lower.h) so per-rank
-/// construction inside Machine::run does not re-lower.
+/// are cached process-wide per function (see lower.h) and looked up and
+/// validated once per Machine::run, so per-rank construction inside the run
+/// neither re-lowers nor re-fingerprints. That is safe because the IR cannot
+/// change while a run executes it.
 class Interpreter {
  public:
   Interpreter(const ir::Module& mod, psim::Machine& machine);

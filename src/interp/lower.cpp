@@ -332,9 +332,28 @@ std::shared_ptr<const ExecModule> lower(const ir::Module& mod,
 }
 
 std::shared_ptr<const ExecModule> compileClosure(const ir::Module& mod,
-                                                 const ir::Function& fn) {
-  if (mod.has(fn.name) && &mod.get(fn.name) == &fn)
-    return ProgramCache::global().lookup(mod, fn);
+                                                 const ir::Function& fn,
+                                                 std::uint64_t runId) {
+  // The closure the previous call on this thread validated during run
+  // `runId`. Every rank of a run executes on the run's one carrier thread,
+  // and run ids are never reused, so an entry never outlives its run: a
+  // later run (even on the same Machine, module address and thread)
+  // revalidates through the cache.
+  thread_local struct {
+    std::uint64_t runId = 0;
+    const ir::Module* mod = nullptr;
+    const ir::Function* fn = nullptr;
+    std::shared_ptr<const ExecModule> xm;
+  } memo;
+  if (runId != 0 && memo.runId == runId && memo.mod == &mod &&
+      memo.fn == &fn)
+    return memo.xm;
+  if (mod.has(fn.name) && &mod.get(fn.name) == &fn) {
+    std::shared_ptr<const ExecModule> xm =
+        ProgramCache::global().lookup(mod, fn);
+    if (runId != 0) memo = {runId, &mod, &fn, xm};
+    return xm;
+  }
   // A function object not registered in the module (e.g. a locally-built
   // kernel passed by reference): lower uncached.
   return lower(mod, fn);

@@ -20,7 +20,9 @@
 // instruction vectors the old definedCache_ used to dangle into) triggers
 // relowering instead of executing stale metadata. Passes additionally
 // invalidate explicitly (src/passes) — the fingerprint is the safety net,
-// not the contract.
+// not the contract. Inside one psim::Machine::run the IR cannot change, so
+// compileClosure looks up and validates a closure once per run and hands
+// the same ExecModule to every rank of it.
 #pragma once
 
 #include <array>
@@ -138,13 +140,21 @@ std::shared_ptr<const ExecModule> lower(const ir::Module& mod,
 /// module-registered function, uncached otherwise (e.g. a locally-built
 /// kernel passed by reference). Every lowered-program backend (exec,
 /// codegen) obtains its artifact here.
+///
+/// `runId` is the caller's psim::Machine::runId(). Within one run (nonzero
+/// id) the cache is consulted once per (module, function): the IR a run
+/// executes cannot change while it runs, so the ranks after the first reuse
+/// the closure the first one validated. Outside a run (0) every call goes
+/// through the cache and its fingerprint revalidation.
 std::shared_ptr<const ExecModule> compileClosure(const ir::Module& mod,
-                                                 const ir::Function& fn);
+                                                 const ir::Function& fn,
+                                                 std::uint64_t runId = 0);
 
 /// Process-wide cache of lowered closures, keyed by (module, entry name).
 /// Hits are revalidated against the fingerprints of every function in the
 /// closure; mismatches (a pass rewrote IR in place, or a module address was
-/// reused) relower transparently.
+/// reused) relower transparently. compileClosure consults the cache once per
+/// Machine::run, so a run pays one revalidation however many ranks it has.
 ///
 /// The cache is sharded by key hash: concurrent lookups from the serving
 /// layer's worker pool (src/serve) only contend when they land on the same

@@ -248,7 +248,8 @@ TreeWalker::Flow TreeWalker::execInst(const ir::Function& fn,
     // to the rank's root thread — see the matching probe in exec.cpp.
     if (rr.ts == rr.root) machine_.checkKill(rr.env->rank, rr.ts->w.clock);
     std::uint64_t wd = machine_.config().watchdogInsts;
-    if (wd != 0 && rr.insts > wd) machine_.failWatchdog(rr.env->rank, rr.insts);
+    if (wd != 0 && rr.insts > wd)
+      machine_.failWatchdog(rr.env->rank, rr.insts, rr.ts->w.clock);
     double tb = machine_.watchdogTimeBound();
     if (tb > 0 && rr.ts->w.clock > tb)
       machine_.failWatchdogTime(rr.env->rank, rr.ts->w.clock);

@@ -210,6 +210,7 @@ void Fabric::wait(int rank, WorkerCtx& w, ReqId id) {
       const Request& r0 = reqs_[static_cast<std::size_t>(id)];
       BlockInfo& b = blocked_[rank];
       b.op = BlockInfo::Op::Wait;
+      b.clock = w.clock;
       b.peer = r0.kind == Request::Kind::Recv ? r0.src : -2;
       b.tag = r0.tag;
       b.req = id;
@@ -292,7 +293,7 @@ void Fabric::barrier(int rank, WorkerCtx& w) {
     os << "rank " << rank << " entered barrier while rank(s)"
        << listRanks(allred_.members) << " are inside allreduce("
        << reduceName(allred_.kind) << ", count " << allred_.elems << ")";
-    failCollective(os.str());
+    failCollective(os.str(), rank, w.clock);
   }
   barrier_.members.push_back(rank);
   barrier_.latest = std::max(barrier_.latest, w.clock);
@@ -314,7 +315,9 @@ void Fabric::barrier(int rank, WorkerCtx& w) {
     for (int r : members)
       if (r != rank) sched_.wake(r);
   } else {
-    blocked_[rank].op = BlockInfo::Op::Barrier;
+    BlockInfo& b = blocked_[rank];
+    b.op = BlockInfo::Op::Barrier;
+    b.clock = w.clock;
     sched_.block(rank);
     blocked_.erase(rank);
   }
@@ -329,7 +332,7 @@ void Fabric::allreduce(int rank, WorkerCtx& w, ir::ReduceKind kind,
     os << "rank " << rank << " entered allreduce(" << reduceName(kind)
        << ", count " << count << ") while rank(s)"
        << listRanks(barrier_.members) << " are inside barrier";
-    failCollective(os.str());
+    failCollective(os.str(), rank, w.clock);
   }
   if (allred_.count == 0) {
     allred_.kind = kind;
@@ -340,7 +343,7 @@ void Fabric::allreduce(int rank, WorkerCtx& w, ir::ReduceKind kind,
        << ", count " << count << ") but rank(s)" << listRanks(allred_.members)
        << " are inside allreduce(" << reduceName(allred_.kind) << ", count "
        << allred_.elems << ")";
-    failCollective(os.str());
+    failCollective(os.str(), rank, w.clock);
   }
   allred_.contrib[static_cast<std::size_t>(rank)].assign(sendbuf,
                                                          sendbuf + count);
@@ -415,6 +418,7 @@ void Fabric::allreduce(int rank, WorkerCtx& w, ir::ReduceKind kind,
   } else {
     BlockInfo& b = blocked_[rank];
     b.op = BlockInfo::Op::Allreduce;
+    b.clock = w.clock;
     b.count = count;
     b.reduce = kind;
     sched_.block(rank);
@@ -436,6 +440,7 @@ void Fabric::describeRank(int rank, RankSnapshot& snap) const {
     return;
   }
   const BlockInfo& b = bIt->second;
+  snap.clock = b.clock;
   switch (b.op) {
     case BlockInfo::Op::None:
       snap.op = "running";
@@ -466,10 +471,10 @@ void Fabric::describeRank(int rank, RankSnapshot& snap) const {
   }
 }
 
-void Fabric::failCollective(std::string detail) {
+void Fabric::failCollective(std::string detail, int rank, double clock) {
   if (failureBuilder_)
-    throw VmError(
-        failureBuilder_(FailureReport::Kind::CollectiveMismatch, detail));
+    throw VmError(failureBuilder_(FailureReport::Kind::CollectiveMismatch,
+                                  std::move(detail), rank, clock));
   FailureReport rep;
   rep.kind = FailureReport::Kind::CollectiveMismatch;
   rep.detail = std::move(detail);
@@ -477,6 +482,7 @@ void Fabric::failCollective(std::string detail) {
     RankSnapshot s;
     s.rank = r;
     describeRank(r, s);
+    if (r == rank) s.clock = clock;
     rep.ranks.push_back(std::move(s));
   }
   throw VmError(std::move(rep));

@@ -59,12 +59,12 @@ class Fabric {
 
   /// Installs the fault oracle (nullptr disables injection).
   void setFaultPlan(const FaultPlan* plan) { plan_ = plan; }
-  /// Installs the report factory used for collective-mismatch failures, so
-  /// thrown VmErrors carry machine-wide per-rank snapshots.
-  void setFailureBuilder(
-      std::function<FailureReport(FailureReport::Kind, std::string)> b) {
-    failureBuilder_ = std::move(b);
-  }
+  /// Report factory for collective-mismatch failures, so thrown VmErrors
+  /// carry machine-wide per-rank snapshots. `rank` is the rank that detected
+  /// the mismatch and `clock` its current virtual clock.
+  using FailureBuilder = std::function<FailureReport(
+      FailureReport::Kind, std::string detail, int rank, double clock)>;
+  void setFailureBuilder(FailureBuilder b) { failureBuilder_ = std::move(b); }
   /// Installs the collective-boundary hook (checkpoint/restart). Invoked by
   /// the last-arriving rank of every barrier/allreduce, after the release
   /// time is computed but before any rank observes it; the hook may push the
@@ -127,7 +127,8 @@ class Fabric {
                  std::vector<i64>* winners = nullptr);
 
   /// Fills the message-passing fields of a failure snapshot for `rank`
-  /// (blocked op kind, peer, tag, request id, inbox depth).
+  /// (blocked op kind, peer, tag, request id, inbox depth) and, for a parked
+  /// rank, the virtual clock it parked with.
   void describeRank(int rank, RankSnapshot& snap) const;
 
  private:
@@ -156,6 +157,10 @@ class Fabric {
   /// What a rank is blocked on, for failure snapshots.
   struct BlockInfo {
     enum class Op { None, Wait, Barrier, Allreduce } op = Op::None;
+    // Virtual clock the rank parked with. The engines keep a running rank's
+    // clock in a local copy of RankEnv::main, so this is the only current
+    // clock the machine can see for a parked rank.
+    double clock = 0;
     int peer = -2, tag = -2;
     ReqId req = -1;
     i64 count = 0;
@@ -173,7 +178,8 @@ class Fabric {
 
   void deliver(Request& r, Message&& msg);
   void pushInbox(int dest, Message&& msg);
-  [[noreturn]] void failCollective(std::string detail);
+  [[noreturn]] void failCollective(std::string detail, int rank,
+                                   double clock);
 
   // Staged collective timing (values are reduced separately; see the
   // allreduce implementation). Both return the release time and account the
@@ -189,8 +195,7 @@ class Fabric {
   CoopScheduler& sched_;
   std::function<int(int)> socketOfRank_;
   const FaultPlan* plan_ = nullptr;
-  std::function<FailureReport(FailureReport::Kind, std::string)>
-      failureBuilder_;
+  FailureBuilder failureBuilder_;
   std::function<void(double&)> boundaryHook_;
 
   // Sparse per-rank flow state: entries exist only for ranks that currently

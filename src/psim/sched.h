@@ -4,10 +4,14 @@
 // carrier thread per run, so exactly one runs at any instant; a rank yields
 // only when it blocks on a communication condition, which is a plain
 // swapcontext back to the scheduling loop. The loop always resumes the
-// runnable rank with the smallest virtual clock, so simulated executions are
-// deterministic and message completion times are exact (a receive can only
-// complete once the matching send has been posted). A 1-rank run calls its
-// body directly on the carrier, with no fiber.
+// runnable rank with the smallest clockOf(rank), ties to the lower rank.
+// The Machine's clockOf reads RankEnv::main, which the engines write back
+// only when a rank's engine call returns, so in practice the order is the
+// clock the rank started its current call with, then the rank. Simulated
+// executions are deterministic either way, and message completion times are
+// exact because they come from the fabric's own timestamps (a receive can
+// only complete once the matching send has been posted). A 1-rank run calls
+// its body directly on the carrier, with no fiber.
 //
 // Blocking is event-driven: a rank that cannot make progress registers
 // itself on a wake list owned by the subsystem it waits on (the fabric keys
@@ -74,8 +78,8 @@ class CoopScheduler {
   void block(int rank);
 
   /// Called from inside the running rank: moves a Blocked `rank` back to
-  /// Ready. The woken rank resumes when the smallest-clock pick reaches it;
-  /// the caller keeps running.
+  /// Ready, keyed by clockOf(rank). The woken rank resumes when the
+  /// (clock, rank) pick reaches it; the caller keeps running.
   void wake(int rank);
 
   /// Called from inside a running rank: coordinately aborts the run. Every

@@ -1,6 +1,7 @@
 #include "src/psim/sim.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -13,6 +14,12 @@ double Machine::run(const Launch& launch,
               "bad launch configuration");
   launch_ = launch;
   resetMemCharges();  // pick up config edits made since the last run
+  static std::atomic<std::uint64_t> lastRunId{0};
+  runId_ = lastRunId.fetch_add(1, std::memory_order_relaxed) + 1;
+  struct EndRun {
+    std::uint64_t& id;
+    ~EndRun() { id = 0; }
+  } endRun{runId_};
 
   // Resolve the fault plan for this run: an explicitly enabled config wins;
   // otherwise the PARAD_FAULTS environment spec (if any) applies.
@@ -93,8 +100,9 @@ double Machine::run(const Launch& launch,
         [this](int r) { return socketOfRank(r); });
     fabric_->setFaultPlan(&faultPlan_);
     fabric_->setFailureBuilder(
-        [this](FailureReport::Kind kind, std::string detail) {
-          return buildFailureReport(kind, std::move(detail));
+        [this](FailureReport::Kind kind, std::string detail, int rank,
+               double clock) {
+          return buildFailureReport(kind, std::move(detail), rank, clock);
         });
     if (ckpt_) {
       ckpt_->beginAttempt(fabric_.get(), &allocSeq_);
@@ -226,7 +234,8 @@ void Machine::failKilled(const RankKillSignal& k, std::string detail) {
 }
 
 FailureReport Machine::buildFailureReport(FailureReport::Kind kind,
-                                          std::string detail) {
+                                          std::string detail, int rank,
+                                          double clock) {
   FailureReport rep;
   rep.kind = kind;
   rep.detail = std::move(detail);
@@ -238,8 +247,12 @@ FailureReport Machine::buildFailureReport(FailureReport::Kind kind,
   for (const RankEnv& e : *envs_) {
     RankSnapshot s;
     s.rank = e.rank;
+    // RankEnv::main is copied back only when a rank returns: exact for a
+    // finished or never-started rank. The fabric overrides it for a parked
+    // rank, and the caller knows its own.
     s.clock = e.main.clock;
     if (fabric_) fabric_->describeRank(e.rank, s);
+    if (e.rank == rank) s.clock = clock;
     if (rankDone_[static_cast<std::size_t>(e.rank)])
       s.op = "done";  // keep the inbox depth: unclaimed messages are a clue
     else if (!fabric_)
@@ -249,19 +262,21 @@ FailureReport Machine::buildFailureReport(FailureReport::Kind kind,
   return rep;
 }
 
-void Machine::failWatchdog(int rank, std::uint64_t insts) {
+void Machine::failWatchdog(int rank, std::uint64_t insts, double clock) {
   std::ostringstream os;
   os << "rank " << rank << " dispatched " << insts
      << " IR instructions, exceeding the watchdogInsts bound of "
      << cfg_.watchdogInsts;
-  throw VmError(buildFailureReport(FailureReport::Kind::Watchdog, os.str()));
+  throw VmError(buildFailureReport(FailureReport::Kind::Watchdog, os.str(),
+                                   rank, clock));
 }
 
 void Machine::failCancelled(int rank, double clock) {
   std::ostringstream os;
   os << "run cancelled by host at rank " << rank << ", virtual time " << clock
      << "ns (deadline exceeded)";
-  throw VmError(buildFailureReport(FailureReport::Kind::Deadline, os.str()));
+  throw VmError(buildFailureReport(FailureReport::Kind::Deadline, os.str(),
+                                   rank, clock));
 }
 
 void Machine::failWatchdogTime(int rank, double clock) {
@@ -269,7 +284,8 @@ void Machine::failWatchdogTime(int rank, double clock) {
   os << "rank " << rank << " reached virtual time " << clock
      << "ns, exceeding the virtual-time bound of " << watchdogTimeBound()
      << "ns";
-  throw VmError(buildFailureReport(FailureReport::Kind::Watchdog, os.str()));
+  throw VmError(buildFailureReport(FailureReport::Kind::Watchdog, os.str(),
+                                   rank, clock));
 }
 
 }  // namespace parad::psim

@@ -6,6 +6,7 @@
 // contention effects.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -57,6 +58,12 @@ class Machine {
   /// maximum finishing virtual clock over ranks (the program's makespan).
   double run(const Launch& launch, const std::function<void(RankEnv&)>& fn);
 
+  /// Identity of the active run: a process-unique id drawn when run() is
+  /// entered, 0 whenever no run is active (before, after, and after a run
+  /// that threw). Ids are never reused — not across runs of one Machine, nor
+  /// across Machines — so a consumer may key per-run state on it alone.
+  std::uint64_t runId() const { return runId_; }
+
   // ---- fault injection & failure diagnostics ----
   /// The fault oracle of the current run (inert when faults are disabled).
   const FaultPlan& faultPlan() const { return faultPlan_; }
@@ -68,12 +75,16 @@ class Machine {
     return faultPlan_.slowdown(rank) * static_cast<double>(hostLoad(rank));
   }
   /// Captures a machine-wide per-rank failure snapshot (clocks, blocked
-  /// message-passing operations, inbox depths). Valid during a run.
+  /// message-passing operations, inbox depths). Valid during a run. A parked
+  /// rank reports the clock it parked with, a finished rank its final clock.
+  /// `rank` (-1: none) is the running rank that detected the failure and
+  /// `clock` its current clock, which only the caller knows.
   FailureReport buildFailureReport(FailureReport::Kind kind,
-                                   std::string detail);
+                                   std::string detail, int rank = -1,
+                                   double clock = 0);
   /// Trips the per-rank dispatched-instruction watchdog: throws a VmError
   /// whose report snapshots every rank. Called by the execution engines.
-  [[noreturn]] void failWatchdog(int rank, std::uint64_t insts);
+  [[noreturn]] void failWatchdog(int rank, std::uint64_t insts, double clock);
   /// Same, for the virtual-time bound: catches a rank that keeps computing
   /// past the bound without ever yielding to the scheduler.
   [[noreturn]] void failWatchdogTime(int rank, double clock);
@@ -259,6 +270,7 @@ class Machine {
   std::vector<int> workers_;
   std::vector<MemCharge> memCharge_;
   Launch launch_{};
+  std::uint64_t runId_ = 0;        // see runId()
   std::vector<RankEnv>* envs_ = nullptr;
   FaultPlan faultPlan_;
   std::uint64_t allocSeq_ = 0;     // per-run allocation index for the plan

@@ -482,6 +482,156 @@ TEST(ExecCache, PassRewriteBetweenRunsIsSafe) {
   EXPECT_DOUBLE_EQ(r2.u.f, r1.u.f);
 }
 
+namespace {
+
+/// Eight ranks each scale their rank number through a callee and sum the
+/// results with an allreduce: a multi-rank closure of two functions.
+ir::Module buildRankSum() {
+  ir::Module mod;
+  {
+    ir::FunctionBuilder b(mod, "scale", {Type::F64}, Type::F64);
+    b.ret(b.fmul(b.param(0), b.constF(2)));
+    b.finish();
+  }
+  ir::FunctionBuilder b(mod, "ranksum", {Type::PtrF64, Type::PtrF64},
+                        Type::F64);
+  auto send = b.param(0), recv = b.param(1);
+  auto zero = b.constI(0);
+  b.store(send, zero, b.call("scale", {b.itof(b.mpRank())}));
+  b.mpAllreduce(send, recv, b.constI(1), ir::ReduceKind::Sum, {});
+  b.ret(b.load(recv, zero));
+  b.finish();
+  ir::verify(mod);
+  return mod;
+}
+
+/// Runs @ranksum on `ranks` ranks of `m`; returns rank 0's result.
+double runRankSum(const ir::Module& mod, psim::Machine& m,
+                  std::string_view engine, int ranks = 8) {
+  std::vector<psim::RtPtr> send, recv;
+  for (int r = 0; r < ranks; ++r) {
+    send.push_back(makeF64(m, {0}));
+    recv.push_back(makeF64(m, {0}));
+  }
+  double out = 0;
+  m.run({ranks, 1}, [&](psim::RankEnv& env) {
+    interp::Interpreter it(mod, m, engine);
+    auto r = static_cast<std::size_t>(env.rank);
+    interp::RtVal v = it.run(mod.get("ranksum"),
+                             {interp::RtVal::P(send[r]),
+                              interp::RtVal::P(recv[r])},
+                             env);
+    if (env.rank == 0) out = v.u.f;
+  });
+  return out;
+}
+
+/// Edits a function's first f64 constant in place, bypassing the passes
+/// (and so any explicit cache invalidation).
+void setFirstConstF(ir::Function& fn, double v) {
+  for (ir::Inst& in : fn.body.insts)
+    if (in.op == ir::Op::ConstF) {
+      in.fconst = v;
+      return;
+    }
+  FAIL() << "no ConstF in @" << fn.name;
+}
+
+std::uint64_t cacheLookups() {
+  auto& cache = interp::ProgramCache::global();
+  return cache.hits() + cache.misses();
+}
+
+}  // namespace
+
+TEST(ExecCache, OneLookupPerRun) {
+  // Every rank of a run executes the same closure, which cannot change while
+  // the run lasts: the run looks it up and revalidates it once, not once per
+  // rank — also when the same Machine runs again.
+  ir::Module mod = buildRankSum();
+  for (const char* e : {"exec", "codegen"}) {
+    SCOPED_TRACE(e);
+    psim::Machine m;
+    for (int run = 0; run < 2; ++run) {
+      std::uint64_t before = cacheLookups();
+      EXPECT_EQ(runRankSum(mod, m, e), 2.0 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7));
+      EXPECT_EQ(cacheLookups(), before + 1) << "run " << run;
+    }
+  }
+}
+
+TEST(ExecCache, PassRewriteBetweenMultiRankRunsIsSafe) {
+  // The multi-rank form of PassRewriteBetweenRunsIsSafe: a closure validated
+  // once for a whole run must not carry over into the next run on the same
+  // Machine after the IR changed — neither after an in-place edit of a
+  // callee (caught by the fingerprint) nor after a rewriting pass.
+  const double sum = 0 + 1 + 2 + 3 + 4 + 5 + 6 + 7;
+  for (const char* e : {"exec", "codegen"}) {
+    SCOPED_TRACE(e);
+    ir::Module mod = buildRankSum();
+    psim::Machine m;
+    auto& cache = interp::ProgramCache::global();
+    EXPECT_EQ(runRankSum(mod, m, e), 2.0 * sum);
+    std::uint64_t misses = cache.misses();
+    setFirstConstF(mod.get("scale"), 3);  // in place, no invalidation
+    EXPECT_EQ(runRankSum(mod, m, e), 3.0 * sum);
+    EXPECT_EQ(cache.misses(), misses + 1);
+    passes::inlineCalls(mod, "ranksum");
+    EXPECT_EQ(runRankSum(mod, m, e), 3.0 * sum);
+    EXPECT_EQ(cache.misses(), misses + 2);
+  }
+}
+
+TEST(ExecCache, DirectCallOutsideRunRevalidates) {
+  // Interpreter::run with a hand-built RankEnv is not inside a Machine::run
+  // (runId() is 0): nothing bounds how long the IR stays unchanged, so every
+  // call looks the closure up and revalidates it.
+  ir::Module mod;
+  ir::FunctionBuilder b(mod, "f", {Type::F64}, Type::F64);
+  b.ret(b.fmul(b.param(0), b.constF(3)));
+  b.finish();
+  ir::verify(mod);
+  psim::Machine m;
+  ASSERT_EQ(m.runId(), 0u);
+  psim::RankEnv env;
+  env.machine = &m;
+  interp::Interpreter it(mod, m, "exec");
+  auto& cache = interp::ProgramCache::global();
+  std::uint64_t before = cacheLookups(), misses = cache.misses();
+  EXPECT_EQ(it.run(mod.get("f"), {interp::RtVal::F(2)}, env).u.f, 6.0);
+  EXPECT_EQ(it.run(mod.get("f"), {interp::RtVal::F(2)}, env).u.f, 6.0);
+  EXPECT_EQ(cacheLookups(), before + 2);
+  setFirstConstF(mod.get("f"), 5);  // in place, no invalidation
+  EXPECT_EQ(it.run(mod.get("f"), {interp::RtVal::F(2)}, env).u.f, 10.0);
+  EXPECT_EQ(cacheLookups(), before + 3);
+  EXPECT_EQ(cache.misses(), misses + 2);
+}
+
+TEST(ExecCache, RunIdKeysTheClosureMemo) {
+  // The per-run memo is keyed by the run id itself, not by the thread that
+  // happens to carry the run: the same id on the same thread skips the
+  // cache, a new id (a later run) goes back through it and its fingerprint
+  // check, and id 0 (no run) never uses the memo.
+  ir::Module mod;
+  ir::FunctionBuilder b(mod, "f", {Type::F64}, Type::F64);
+  b.ret(b.fmul(b.param(0), b.constF(3)));
+  b.finish();
+  ir::verify(mod);
+  const ir::Function& fn = mod.get("f");
+  auto& cache = interp::ProgramCache::global();
+  std::uint64_t before = cacheLookups(), misses = cache.misses();
+  auto xa = interp::compileClosure(mod, fn, /*runId=*/~0ull);
+  EXPECT_EQ(interp::compileClosure(mod, fn, ~0ull), xa);
+  EXPECT_EQ(cacheLookups(), before + 1);
+  setFirstConstF(mod.get("f"), 4);  // between two runs, in place
+  auto xb = interp::compileClosure(mod, fn, ~0ull - 1);
+  EXPECT_NE(xb, xa);
+  EXPECT_EQ(cache.misses(), misses + 2);
+  (void)interp::compileClosure(mod, fn, 0);
+  (void)interp::compileClosure(mod, fn, 0);
+  EXPECT_EQ(cacheLookups(), before + 4);
+}
+
 TEST(ExecCache, FingerprintCatchesInPlaceMutation) {
   // An IR mutation that bypasses the pass layer (no explicit invalidation)
   // must still be picked up via fingerprint revalidation on the next lookup.

@@ -375,6 +375,9 @@ TEST(Faults, InstructionWatchdogTripsOnBothEngines) {
       EXPECT_EQ(e.report().kind, psim::FailureReport::Kind::Watchdog);
       std::string msg = e.what();
       EXPECT_NE(msg.find("watchdogInsts"), std::string::npos) << msg;
+      // The tripping rank reports the clock it reached, not its start clock.
+      ASSERT_EQ(e.report().ranks.size(), 1u);
+      EXPECT_GT(e.report().ranks[0].clock, 0.0) << msg;
     }
   }
 }
@@ -415,6 +418,10 @@ TEST(Faults, VirtualTimeWatchdogTripsOnStalledProgress) {
     // The report still snapshots what every rank was doing.
     ASSERT_EQ(e.report().ranks.size(), 2u);
     EXPECT_EQ(e.report().ranks[0].op, "wait");
+    // Rank 0 reports the clock it parked with, the tripping rank 1 the clock
+    // that crossed the bound.
+    EXPECT_GT(e.report().ranks[0].clock, 0.0) << msg;
+    EXPECT_GT(e.report().ranks[1].clock, 50000.0) << msg;
   }
 }
 

@@ -1,6 +1,8 @@
 // Virtual machine tests: message fabric, scheduler, NUMA/time model.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "tests/test_util.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -205,39 +207,52 @@ TEST(Psim, FreedObjectTraps) {
 
 TEST(Psim, DeadlockReportNamesBlockedOps) {
   // The deadlock must surface as a VmError whose FailureReport says, per
-  // rank, what each one was blocked on.
+  // rank, what each one was blocked on and the virtual clock it parked
+  // with. Rank r runs 10*(r+1) fadds first, so the two clocks differ; the
+  // report is the same on every engine.
   ir::Module mod;
   ir::FunctionBuilder b(mod, "dl", {Type::PtrF64});
   auto buf = b.param(0);
+  auto zero = b.constI(0);
+  b.emitFor(zero, b.imul(b.iadd(b.mpRank(), b.constI(1)), b.constI(10)),
+            [&](ir::Value) {
+              b.store(buf, zero, b.fadd(b.load(buf, zero), b.constF(1)));
+            });
   b.mpRecv(buf, b.constI(1), b.irem(b.iadd(b.mpRank(), b.constI(1)), b.mpSize()),
            b.constI(9));
   b.ret();
   b.finish();
   ir::verify(mod);
-  psim::Machine m;
-  auto b0 = makeF64(m, {0});
-  auto b1 = makeF64(m, {0});
-  psim::RtPtr bufs[2] = {b0, b1};
-  try {
-    m.run({2, 1}, [&](psim::RankEnv& env) {
-      interp::Interpreter it(mod, m);
-      it.run(mod.get("dl"), {interp::RtVal::P(bufs[env.rank])}, env);
-    });
-    FAIL() << "expected a VmError";
-  } catch (const psim::VmError& e) {
-    const psim::FailureReport& fr = e.report();
-    EXPECT_EQ(fr.kind, psim::FailureReport::Kind::Deadlock);
-    ASSERT_EQ(fr.ranks.size(), 2u);
-    EXPECT_EQ(fr.ranks[0].rank, 0);
-    EXPECT_EQ(fr.ranks[0].op, "wait");
-    EXPECT_EQ(fr.ranks[0].peer, 1);
-    EXPECT_EQ(fr.ranks[0].tag, 9);
-    EXPECT_EQ(fr.ranks[1].peer, 0);
-    std::string msg = e.what();
-    EXPECT_NE(msg.find("deadlock"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("rank 0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("rank 1"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("tag 9"), std::string::npos) << msg;
+  for (const char* engine : {"exec", "tree", "codegen"}) {
+    SCOPED_TRACE(engine);
+    psim::Machine m;
+    auto b0 = makeF64(m, {0});
+    auto b1 = makeF64(m, {0});
+    psim::RtPtr bufs[2] = {b0, b1};
+    try {
+      m.run({2, 1}, [&](psim::RankEnv& env) {
+        interp::Interpreter it(mod, m, engine);
+        it.run(mod.get("dl"), {interp::RtVal::P(bufs[env.rank])}, env);
+      });
+      FAIL() << "expected a VmError";
+    } catch (const psim::VmError& e) {
+      const psim::FailureReport& fr = e.report();
+      EXPECT_EQ(fr.kind, psim::FailureReport::Kind::Deadlock);
+      ASSERT_EQ(fr.ranks.size(), 2u);
+      EXPECT_EQ(fr.ranks[0].rank, 0);
+      EXPECT_EQ(fr.ranks[0].op, "wait");
+      EXPECT_EQ(fr.ranks[0].peer, 1);
+      EXPECT_EQ(fr.ranks[0].tag, 9);
+      EXPECT_EQ(fr.ranks[1].peer, 0);
+      EXPECT_LT(fr.ranks[0].clock, fr.ranks[1].clock);
+      EXPECT_EQ(std::string(e.what()),
+                "virtual machine deadlock: message-passing deadlock: no rank "
+                "can make progress\n"
+                "  rank 0 @ 107.9ns: wait (recv from 1 tag 9 count 1) req=0, "
+                "inbox depth 0\n"
+                "  rank 1 @ 153.4ns: wait (recv from 0 tag 9 count 1) req=1, "
+                "inbox depth 0");
+    }
   }
 }
 
@@ -270,6 +285,10 @@ TEST(Psim, BarrierVsAllreduceMismatchIsDiagnosed) {
     EXPECT_NE(msg.find("collective mismatch"), std::string::npos) << msg;
     EXPECT_NE(msg.find("barrier"), std::string::npos) << msg;
     EXPECT_NE(msg.find("allreduce"), std::string::npos) << msg;
+    // Rank 0 parked in the barrier; rank 1 detected the mismatch. Both
+    // report the clock they had, not the one they started with.
+    for (const psim::RankSnapshot& r : e.report().ranks)
+      EXPECT_GT(r.clock, 0.0) << "rank " << r.rank << "\n" << msg;
   }
 }
 
@@ -446,6 +465,35 @@ TEST(Psim, MachineReusableAfterFailedMultiRankRun) {
   EXPECT_EQ(m.stats().messages - msgsBefore, 3u);
   for (int r = 0; r < 3; ++r)
     EXPECT_EQ(readF64(m, recv[(std::size_t)r], N), payload);
+}
+
+TEST(Psim, RunIdUniqueAndZeroOutsideRun) {
+  // runId() names the active run: 0 outside one (also after a run that
+  // threw), the same for every rank of a run, and never reused across runs
+  // or Machines.
+  psim::Machine m, other;
+  EXPECT_EQ(m.runId(), 0u);
+  auto idOf = [](psim::Machine& mm, bool throws) {
+    std::vector<std::uint64_t> seen(4, 0);
+    try {
+      mm.run({4, 1}, [&](psim::RankEnv& env) {
+        seen[static_cast<std::size_t>(env.rank)] = mm.runId();
+        if (throws && env.rank == 3) fail("rank 3 gives up");
+      });
+    } catch (const Error&) {
+      EXPECT_TRUE(throws);
+    }
+    for (std::uint64_t id : seen) EXPECT_EQ(id, seen[0]);
+    EXPECT_EQ(mm.runId(), 0u);
+    return seen[0];
+  };
+  std::uint64_t a = idOf(m, false);
+  std::uint64_t b = idOf(m, true);
+  std::uint64_t c = idOf(m, false);
+  std::uint64_t d = idOf(other, false);
+  EXPECT_NE(a, 0u);
+  std::set<std::uint64_t> ids = {a, b, c, d};
+  EXPECT_EQ(ids.size(), 4u);
 }
 
 TEST(Psim, DeepRecursionFitsOnFiberStacks) {
