@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # One-stop verification: configure, build (the parad library is
 # warnings-as-errors, see src/CMakeLists.txt) and run the full test suite —
-# including the gradient-plan API tests and the golden remark-dump test.
+# including the gradient-plan API tests, the golden remark-dump test and the
+# golden virtual outputs of five figure benches (GoldenBench.*).
 # CI (.github/workflows/ci.yml) runs exactly this script.
 #
 #   BUILD_DIR=out ./scripts/check.sh   # override the build directory
-#   SANITIZE=1 ./scripts/check.sh      # ASan+UBSan build (separate build dir)
+#   SANITIZE=1 ./scripts/check.sh      # ASan+UBSan (+ float-cast-overflow)
+#                                      # build (separate build dir)
 #   TSAN=1 ./scripts/check.sh          # ThreadSanitizer build, concurrency
 #                                      # suites only (serve pipeline, sharded
-#                                      # cache hammer, backend registry,
-#                                      # program cache, psim rank fibers)
+#                                      # cache hammer, engine table, program
+#                                      # cache, psim rank fibers)
 #   CHAOS=1 ./scripts/check.sh         # widened fault-injection chaos sweep
 #   SCALE=1 ./scripts/check.sh         # 4096-virtual-rank weak-scaling smoke
 #   SERVE=1 ./scripts/check.sh         # serving-layer suite + mixed-traffic
@@ -49,12 +51,12 @@ fi
 if [[ "${TSAN:-0}" == "1" ]]; then
   # ThreadSanitizer lane: a separate build dir, restricted to the suites that
   # exercise real host-thread concurrency (the serving pipeline, the sharded
-  # program-cache hammer, the backend registry) or fiber switches (the psim
-  # suites run multi-rank machines, whose ranks are fibers on a per-run
-  # carrier thread), plus the program-cache suite, whose per-run closure
-  # memo is per-thread state that concurrent serve workers each touch. The
-  # full suite under TSan would mostly re-measure single-threaded VM code at
-  # ~10x slowdown.
+  # program-cache hammer, the engine table and its default-engine slot) or
+  # fiber switches (the psim suites run multi-rank machines, whose ranks are
+  # fibers on a per-run carrier thread), plus the program-cache suite, whose
+  # per-run closure memo is per-thread state that concurrent serve workers
+  # each touch. The full suite under TSan would mostly re-measure
+  # single-threaded VM code at ~10x slowdown.
   BUILD_DIR=${BUILD_DIR}-tsan
   CMAKE_ARGS+=(-DPARAD_SANITIZE=thread)
   export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1}

@@ -1,12 +1,11 @@
-// Pluggable execution backends (DESIGN.md §13).
+// Execution backends (DESIGN.md §13).
 //
-// The Interpreter facade no longer hard-codes a two-engine enum: engines are
-// ExecBackend implementations registered by name in a process-wide
-// BackendRegistry. `PARAD_ENGINE=<name>` selects the default; unknown names
-// are rejected with a structured error that lists the registered backends
-// (with a did-you-mean suggestion, matching PARAD_FAULTS= key rejection).
+// The Interpreter facade dispatches to one of a fixed table of ExecBackend
+// engines, resolved by name. `PARAD_ENGINE=<name>` selects the default;
+// unknown names are rejected with the shared unknown-name error (knobs.h)
+// listing the backends, with a did-you-mean suggestion.
 //
-// Built-in backends:
+// Backends:
 //   exec     tight dispatch loop over lowered ExecPrograms (default;
 //            alias: "lowered")
 //   tree     recursive reference interpreter (alias: "treewalk")
@@ -16,11 +15,9 @@
 //
 // Every backend honors the same contract: bit-identical values, memory,
 // RunStats and virtual clocks for the same (module, function, machine, env).
-// The differential suites in tests/ sweep the full registry to enforce it.
+// The differential suites in tests/ sweep all three to enforce it.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -36,11 +33,8 @@ class ExecBackend {
  public:
   virtual ~ExecBackend() = default;
 
-  /// Canonical registry name ("exec", "tree", "codegen", ...).
+  /// Canonical name ("exec", "tree" or "codegen").
   virtual std::string_view name() const = 0;
-
-  /// One-line description for error messages and docs.
-  virtual std::string_view description() const = 0;
 
   /// Runs `fn` as the given rank's program. Same contract as
   /// Interpreter::run.
@@ -49,44 +43,21 @@ class ExecBackend {
                     psim::RankEnv& env) const = 0;
 };
 
-/// Process-wide name -> backend registry. The built-in backends are
-/// registered lazily on first access (explicit factory calls, so no
-/// static-initialization-order or linker-dead-stripping hazards); additional
-/// backends can be registered at runtime.
+/// The fixed, immutable engine table.
 class BackendRegistry {
  public:
-  static BackendRegistry& global();
+  static const BackendRegistry& global();
 
-  /// Registers (or replaces, by name) a backend.
-  void add(std::unique_ptr<ExecBackend> backend);
-
-  /// Removes a backend by canonical name (tests). Removing a built-in is
-  /// allowed but unwise.
-  void remove(std::string_view name);
-
-  /// Exact lookup by canonical name; nullptr when absent. Aliases are not
-  /// resolved here — use resolve().
-  const ExecBackend* find(std::string_view name) const;
-
-  /// Resolves a user-supplied engine spec (canonical name or alias, e.g.
-  /// "lowered" -> exec, "treewalk" -> tree) to a registered backend. Unknown
-  /// names fail with a structured error listing the registered backends and
-  /// a did-you-mean suggestion.
+  /// Resolves an engine name or alias ("lowered" -> exec, "treewalk" ->
+  /// tree). Unknown names fail with the shared unknown-name error listing
+  /// the canonical names, sorted, and a did-you-mean suggestion.
   const ExecBackend& resolve(std::string_view spec) const;
-
-  /// Canonical names of every registered backend, sorted.
-  std::vector<std::string> names() const;
 
  private:
   BackendRegistry() = default;
-  struct Impl;
-  Impl& impl() const;
 };
 
-/// Built-in backend factories (also used by tests to restore a pristine
-/// registry entry).
-std::unique_ptr<ExecBackend> makeExecBackend();
-std::unique_ptr<ExecBackend> makeTreeWalkBackend();
-std::unique_ptr<ExecBackend> makeCodegenBackend();
+/// The codegen engine (codegen.cpp).
+const ExecBackend& codegenBackend();
 
 }  // namespace parad::interp

@@ -22,9 +22,9 @@
 #include "src/interp/backend.h"
 #include "src/interp/codegen_abi.h"
 #include "src/interp/exec.h"
-#include "src/support/bytes.h"
 #include "src/support/common.h"
 #include "src/support/fnv.h"
+#include "src/support/knobs.h"
 #include "src/support/lru.h"
 
 namespace parad::interp {
@@ -825,17 +825,14 @@ bool makeDirs(const std::string& path) { return io::makeDirs(path); }
 
 std::string resolveCacheDir(const CodegenConfig& cfg) {
   if (!cfg.cacheDir.empty()) return cfg.cacheDir;
-  if (const char* d = std::getenv("PARAD_CODEGEN_DIR"); d != nullptr && *d)
-    return d;
-  const char* tmp = std::getenv("TMPDIR");
-  std::string base = (tmp != nullptr && *tmp) ? tmp : "/tmp";
-  return base + "/parad-codegen-v" + std::to_string(PARAD_CG_ABI_VERSION) +
+  if (std::string d = envText("PARAD_CODEGEN_DIR"); !d.empty()) return d;
+  return hostTempDir() + "/parad-codegen-v" + std::to_string(PARAD_CG_ABI_VERSION) +
          "-u" + std::to_string(static_cast<unsigned long>(::getuid()));
 }
 
 std::string resolveCompiler(const CodegenConfig& cfg) {
   if (!cfg.compiler.empty()) return cfg.compiler;
-  if (const char* s = std::getenv("PARAD_CXX"); s != nullptr && *s) return s;
+  if (std::string s = envText("PARAD_CXX"); !s.empty()) return s;
 #ifdef PARAD_HOST_CXX
   return PARAD_HOST_CXX;
 #else
@@ -989,9 +986,8 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
   std::string logPath = base + ".log";
   std::string flags = " -std=c++17 -O2 -fPIC -shared -ffp-contract=off";
   if (!im.cfg.extraFlags.empty()) flags += " " + im.cfg.extraFlags;
-  if (const char* ef = std::getenv("PARAD_CODEGEN_FLAGS");
-      ef != nullptr && *ef)
-    flags += std::string(" ") + ef;
+  if (std::string ef = envText("PARAD_CODEGEN_FLAGS"); !ef.empty())
+    flags += " " + ef;
   std::string cmd = shellQuote(cxx) + flags + " -o " + shellQuote(tmpPath) +
                     " " + shellQuote(srcPath) + " -lm 2> " +
                     shellQuote(logPath);
@@ -1095,10 +1091,6 @@ namespace {
 class CodegenBackend final : public ExecBackend {
  public:
   std::string_view name() const override { return "codegen"; }
-  std::string_view description() const override {
-    return "lowered programs compiled to native code by the host compiler "
-           "(falls back to exec)";
-  }
   RtVal run(const ir::Module& mod, const ir::Function& fn,
             std::vector<RtVal> args, psim::Machine& machine,
             psim::RankEnv& env) const override {
@@ -1131,8 +1123,9 @@ class CodegenBackend final : public ExecBackend {
 
 }  // namespace
 
-std::unique_ptr<ExecBackend> makeCodegenBackend() {
-  return std::make_unique<CodegenBackend>();
+const ExecBackend& codegenBackend() {
+  static const CodegenBackend backend;
+  return backend;
 }
 
 }  // namespace parad::interp

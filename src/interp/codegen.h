@@ -39,8 +39,6 @@
 
 namespace parad::interp {
 
-class ExecBackend;
-
 /// Process-wide configuration of the codegen backend. Tests override the
 /// compiler (to force the no-compiler fallback) and the cache directory (to
 /// exercise cross-process disk reuse deterministically).
@@ -119,7 +117,5 @@ class CodegenCache {
   struct Impl;
   Impl& impl() const;
 };
-
-std::unique_ptr<ExecBackend> makeCodegenBackend();
 
 }  // namespace parad::interp

@@ -16,9 +16,8 @@
 // Execution is staged (DESIGN.md §9, §13): src/interp/lower.* compiles a
 // function closure once into a flat ExecProgram (pre-resolved operand slots,
 // folded cost charges, pre-split fork barrier segments, jump-addressed
-// blocks). Engines are pluggable ExecBackend implementations behind a
-// process-wide registry (src/interp/backend.h): "exec" dispatches the
-// lowered program, "tree" is the recursive reference engine, and "codegen"
+// blocks). Engines are the ExecBackend implementations of a fixed engine
+// table (src/interp/backend.h): "exec" dispatches the lowered program, "tree" is the recursive reference engine, and "codegen"
 // emits the lowered program as C++ and runs it natively through the host
 // compiler (src/interp/codegen.*). All engines produce bit-identical
 // results, memory, statistics and virtual clocks.
@@ -51,15 +50,14 @@ struct RtVal {
   static RtVal P(psim::RtPtr v) { RtVal x; x.u.p = v; return x; }
 };
 
-/// Process-wide default engine, by canonical registry name. Initialized from
-/// the PARAD_ENGINE environment variable on first use ("exec" when unset);
-/// an unknown value fails with a structured error listing the registered
-/// backends. setDefaultEngine accepts aliases ("lowered", "treewalk") and
-/// stores the canonical name.
+/// Process-wide default engine, by canonical name. Initialized from the
+/// PARAD_ENGINE env knob on first use ("exec" when unset); an unknown value
+/// fails with a structured error listing the backends. setDefaultEngine
+/// accepts aliases ("lowered", "treewalk") and stores the canonical name.
 std::string defaultEngine();
 void setDefaultEngine(std::string_view engine);
 
-/// Facade over the backend registry. Construction is cheap; lowered programs
+/// Facade over the engine table. Construction is cheap; lowered programs
 /// are cached process-wide per function (see lower.h) and looked up and
 /// validated once per Machine::run, so per-rank construction inside the run
 /// neither re-lowers nor re-fingerprints. That is safe because the IR cannot
@@ -81,7 +79,7 @@ class Interpreter {
  private:
   const ir::Module& mod_;
   psim::Machine& machine_;
-  const ExecBackend* backend_;  // owned by the registry
+  const ExecBackend* backend_;  // a static of the engine table
 };
 
 }  // namespace parad::interp

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <deque>
 
-#include "src/support/bytes.h"
 #include "src/support/fnv.h"
+#include "src/support/knobs.h"
 
 namespace parad::interp {
 

@@ -8,7 +8,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "src/support/bytes.h"
+#include "src/support/knobs.h"
 
 namespace parad::psim {
 

@@ -1,8 +1,11 @@
 #include "src/psim/faults.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <iterator>
+#include <type_traits>
+#include <variant>
 
-#include "src/support/suggest.h"
+#include "src/support/knobs.h"
 
 namespace parad::psim {
 
@@ -20,38 +23,50 @@ enum : std::uint64_t {
   kSaltKillTime = 8,
 };
 
-double parseNumber(const std::string& key, const std::string& val) {
-  char* end = nullptr;
-  double v = std::strtod(val.c_str(), &end);
-  PARAD_CHECK(end && *end == '\0' && !val.empty(),
-              "fault spec: bad value for '", key, "': '", val, "'");
-  return v;
-}
+// Where a key's parsed value goes.
+using Field = std::variant<std::uint64_t FaultConfig::*, double FaultConfig::*,
+                           int FaultConfig::*, bool FaultConfig::*,
+                           std::string FaultConfig::*>;
 
-double parseRate(const std::string& key, const std::string& val) {
-  double v = parseNumber(key, val);
-  PARAD_CHECK(v >= 0.0 && v <= 1.0, "fault spec: '", key,
-              "' must be a probability in [0,1], got ", val);
-  return v;
-}
-
-constexpr const char* kKeys[] = {
-    "seed",     "drop",   "dup",    "delay",         "delayns",
-    "allocfail", "straggle", "factor", "rto",         "maxretry",
-    "kill",     "killns", "ckpt_interval", "retry",  "elastic",
-    "ckpt_dir", "iofail", "torn",   "iocorrupt",
+struct FaultKey {
+  Knob knob;
+  Field field;
 };
 
-std::string keyList() {
-  std::string out;
-  for (const char* k : kKeys) {
-    if (!out.empty()) out += ", ";
-    out += k;
-  }
-  return out;
-}
+// One row per key, in the order the key list prints them. Rates are
+// probabilities; times are virtual ns.
+const FaultKey kFaultKeys[] = {
+    {{"seed", KnobKind::Integer, 0x1p53}, &FaultConfig::seed},
+    {{"drop", KnobKind::Number, 1}, &FaultConfig::dropRate},
+    {{"dup", KnobKind::Number, 1}, &FaultConfig::dupRate},
+    {{"delay", KnobKind::Number, 1}, &FaultConfig::delayRate},
+    {{"delayns", KnobKind::Time, kMaxTimeNs}, &FaultConfig::delayNs},
+    {{"allocfail", KnobKind::Number, 1}, &FaultConfig::allocFailRate},
+    {{"straggle", KnobKind::Number, 1}, &FaultConfig::straggleRate},
+    {{"factor", KnobKind::Number, kMaxNumber, 1}, &FaultConfig::straggleFactor},
+    {{"rto", KnobKind::Time, kMaxTimeNs, 0, true}, &FaultConfig::rtoNs},
+    {{"maxretry", KnobKind::Integer, 30}, &FaultConfig::maxRetransmits},
+    {{"kill", KnobKind::Number, 1}, &FaultConfig::killRate},
+    {{"killns", KnobKind::Time, kMaxTimeNs, 0, true}, &FaultConfig::killNs},
+    {{"ckpt_interval", KnobKind::Integer, kMaxInt},
+     &FaultConfig::ckptInterval},
+    {{"retry", KnobKind::Integer, kMaxInt}, &FaultConfig::retryBudget},
+    {{"elastic", KnobKind::Flag}, &FaultConfig::elastic},
+    // A path, so it cannot contain the spec's comma separator: set
+    // FaultConfig::ckptDir directly for such paths.
+    {{"ckpt_dir", KnobKind::Text}, &FaultConfig::ckptDir},
+    {{"iofail", KnobKind::Number, 1}, &FaultConfig::ioFailRate},
+    {{"torn", KnobKind::Number, 1}, &FaultConfig::tornRate},
+    {{"iocorrupt", KnobKind::Number, 1}, &FaultConfig::ioCorruptRate},
+};
 
 }  // namespace
+
+std::vector<std::string_view> faultSpecKeys() {
+  std::vector<std::string_view> keys;
+  for (const FaultKey& k : kFaultKeys) keys.push_back(k.knob.name);
+  return keys;
+}
 
 FaultConfig parseFaultSpec(const std::string& spec) {
   FaultConfig cfg;
@@ -65,68 +80,25 @@ FaultConfig parseFaultSpec(const std::string& spec) {
     pos = comma + 1;
     if (tok.empty()) continue;
     std::size_t eq = tok.find('=');
-    PARAD_CHECK(eq != std::string::npos,
-                "fault spec: expected key=value, got '", tok,
-                "' (keys: ", keyList(), ")");
+    if (eq == std::string::npos)
+      fail("fault spec: expected key=value, got '", tok,
+           "' (keys: ", joinNames(faultSpecKeys()), ")");
     std::string key = tok.substr(0, eq), val = tok.substr(eq + 1);
-    if (key == "seed") {
-      cfg.seed = static_cast<std::uint64_t>(parseNumber(key, val));
-    } else if (key == "drop") {
-      cfg.dropRate = parseRate(key, val);
-    } else if (key == "dup") {
-      cfg.dupRate = parseRate(key, val);
-    } else if (key == "delay") {
-      cfg.delayRate = parseRate(key, val);
-    } else if (key == "delayns") {
-      cfg.delayNs = parseNumber(key, val);
-      PARAD_CHECK(cfg.delayNs >= 0, "fault spec: delayns must be >= 0");
-    } else if (key == "allocfail") {
-      cfg.allocFailRate = parseRate(key, val);
-    } else if (key == "straggle") {
-      cfg.straggleRate = parseRate(key, val);
-    } else if (key == "factor") {
-      cfg.straggleFactor = parseNumber(key, val);
-      PARAD_CHECK(cfg.straggleFactor >= 1,
-                  "fault spec: straggle factor must be >= 1");
-    } else if (key == "rto") {
-      cfg.rtoNs = parseNumber(key, val);
-      PARAD_CHECK(cfg.rtoNs > 0, "fault spec: rto must be > 0");
-    } else if (key == "maxretry") {
-      cfg.maxRetransmits = static_cast<int>(parseNumber(key, val));
-      PARAD_CHECK(cfg.maxRetransmits >= 0 && cfg.maxRetransmits <= 30,
-                  "fault spec: maxretry must be in [0,30]");
-    } else if (key == "kill") {
-      cfg.killRate = parseRate(key, val);
-    } else if (key == "killns") {
-      cfg.killNs = parseNumber(key, val);
-      PARAD_CHECK(cfg.killNs > 0, "fault spec: killns must be > 0");
-    } else if (key == "ckpt_interval") {
-      cfg.ckptInterval = static_cast<int>(parseNumber(key, val));
-      PARAD_CHECK(cfg.ckptInterval >= 0,
-                  "fault spec: ckpt_interval must be >= 0");
-    } else if (key == "retry") {
-      cfg.retryBudget = static_cast<int>(parseNumber(key, val));
-      PARAD_CHECK(cfg.retryBudget >= 0, "fault spec: retry must be >= 0");
-    } else if (key == "elastic") {
-      double v = parseNumber(key, val);
-      PARAD_CHECK(v == 0.0 || v == 1.0, "fault spec: elastic must be 0 or 1");
-      cfg.elastic = v != 0.0;
-    } else if (key == "ckpt_dir") {
-      // The one string-valued key: a durable-checkpoint directory path.
-      // Comma is the spec separator, so paths containing one are not
-      // expressible — set FaultConfig::ckptDir directly for those.
-      PARAD_CHECK(!val.empty(), "fault spec: ckpt_dir needs a path");
-      cfg.ckptDir = val;
-    } else if (key == "iofail") {
-      cfg.ioFailRate = parseRate(key, val);
-    } else if (key == "torn") {
-      cfg.tornRate = parseRate(key, val);
-    } else if (key == "iocorrupt") {
-      cfg.ioCorruptRate = parseRate(key, val);
-    } else {
-      fail("fault spec: unknown key '", key, "'", didYouMean(key, kKeys),
-           " (keys: ", keyList(), ")");
-    }
+    const FaultKey* k = std::find_if(
+        std::begin(kFaultKeys), std::end(kFaultKeys),
+        [&](const FaultKey& row) { return row.knob.name == key; });
+    if (k == std::end(kFaultKeys))
+      failUnknownName("fault spec", "key", key, faultSpecKeys(), "keys");
+    double v = parseKnob(k->knob, val, "fault spec");
+    std::visit(
+        [&](auto field) {
+          auto& slot = cfg.*field;
+          if constexpr (std::is_same_v<decltype(slot), std::string&>)
+            slot = val;
+          else
+            slot = static_cast<std::remove_reference_t<decltype(slot)>>(v);
+        },
+        k->field);
   }
   return cfg;
 }

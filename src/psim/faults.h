@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/support/common.h"
 
@@ -60,8 +62,13 @@ struct FaultConfig {
 /// malformed values raise parad::Error with the offending token (unknown
 /// keys additionally name the nearest valid key so a typo like `drp=0.1`
 /// cannot silently run fault-free). `ckpt_dir` takes a path (no commas);
-/// everything else is numeric.
+/// everything else is numeric, range-checked before any cast: rates in
+/// [0, 1], `seed` a whole number up to 2^53, `maxretry` up to 30, `retry`
+/// and `ckpt_interval` up to 2^31-1, times finite and at most 10^18 ns.
 FaultConfig parseFaultSpec(const std::string& spec);
+
+/// The keys parseFaultSpec accepts, in the order its errors list them.
+std::vector<std::string_view> faultSpecKeys();
 
 /// The seeded decision oracle. Stateless: safe to query from any rank in any
 /// order.

@@ -91,7 +91,7 @@ struct MachineConfig {
   /// worker per thread of the rank (the launch's threadsPerRank).
   int taskWorkers = 0;
   /// Deterministic fault injection (see faults.h). Disabled by default; the
-  /// `PARAD_FAULTS` environment spec is consulted per run when this is off.
+  /// `PARAD_FAULTS` env spec is consulted per run when this is off.
   FaultConfig faults;
   /// Watchdog bounds converting livelocks into structured VmErrors instead
   /// of hangs; 0 disables. `watchdogVirtualNs` bounds any rank's virtual

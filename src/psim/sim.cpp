@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
+
+#include "src/support/knobs.h"
 
 namespace parad::psim {
 
@@ -22,10 +23,11 @@ double Machine::run(const Launch& launch,
   } endRun{runId_};
 
   // Resolve the fault plan for this run: an explicitly enabled config wins;
-  // otherwise the PARAD_FAULTS environment spec (if any) applies.
+  // otherwise the PARAD_FAULTS spec (if any) applies.
   FaultConfig fc = cfg_.faults;
   if (!fc.enabled) {
-    if (const char* env = std::getenv("PARAD_FAULTS")) fc = parseFaultSpec(env);
+    if (std::string env = envText("PARAD_FAULTS"); !env.empty())
+      fc = parseFaultSpec(env);
   }
   faultPlan_ = FaultPlan(fc);
   watchdogSlackNs_ = 0;

@@ -24,7 +24,7 @@ namespace parad::psim {
 
 class Machine;
 
-/// Per-rank execution environment handed to the interpreter.
+/// Per-rank execution context handed to the interpreter.
 struct RankEnv {
   Machine* machine = nullptr;
   int rank = 0;

@@ -1,15 +1,10 @@
 #include "src/serve/serve.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <climits>
 #include <cmath>
 #include <condition_variable>
-#include <cstdlib>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <string_view>
@@ -25,96 +20,19 @@
 #include "src/psim/faults.h"
 #include "src/psim/sim.h"
 #include "src/serve/queue.h"
-#include "src/support/bytes.h"
-#include "src/support/suggest.h"
+#include "src/support/knobs.h"
 
 namespace parad::serve {
 
 namespace {
 
-// Host times become integer nanoseconds added to the steady clock. Capping
-// them at 10^18 ns (about 31 years) keeps every such conversion and sum in
-// range.
-constexpr double kMaxHostNs = 1e18;
-
-/// The number in PARAD_SERVE_* variable `name`, or `dflt` when it is unset
-/// or empty: finite, non-negative, at most `max`, and whole if `integer`.
-double envDouble(const char* name, double dflt,
-                 double max = std::numeric_limits<double>::infinity(),
-                 bool integer = false) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return dflt;
-  char* end = nullptr;
-  double v = std::strtod(s, &end);
-  if (end == s || *end != '\0')
-    fail("serve: malformed ", name, "='", s, "' (expected a number)");
-  if (!std::isfinite(v))
-    fail("serve: ", name, " must be finite, got '", s, "'");
-  if (v < 0)
-    fail("serve: ", name, " must be non-negative, got '", s, "'");
-  if (v > max)
-    fail("serve: ", name, " must be at most ", static_cast<long long>(max),
-         ", got '", s, "'");
-  if (integer && v != std::trunc(v))
-    fail("serve: ", name, " must be a non-negative integer, got '", s, "'");
-  return v;
-}
-
-int envInt(const char* name, int dflt) {
-  return static_cast<int>(envDouble(name, dflt, INT_MAX, /*integer=*/true));
-}
-
-/// A host time in `nsPerUnit`-nanosecond units.
-double envTime(const char* name, double dflt, double nsPerUnit) {
-  return envDouble(name, dflt, kMaxHostNs / nsPerUnit);
-}
-
 /// The absolute host deadline of a job started at `now` that may take `ms`
 /// milliseconds; 0 (no deadline) when `ms` <= 0.
 std::uint64_t deadlineAt(std::uint64_t now, double ms) {
-  if (!std::isfinite(ms) || ms * 1e6 > kMaxHostNs)
+  if (!std::isfinite(ms) || ms * 1e6 > kMaxTimeNs)
     fail("serve: deadline of ", ms, " ms is out of range (at most ",
-         static_cast<long long>(kMaxHostNs / 1e6), " ms)");
+         static_cast<long long>(kMaxTimeNs / 1e6), " ms)");
   return ms > 0 ? now + static_cast<std::uint64_t>(ms * 1e6) : 0;
-}
-
-// Every knob fromEnv() accepts, sorted (PARAD_SERVE_SMOKE belongs to the
-// bench harness but shares the prefix, so it is accepted here too).
-const char* const kServeKnobs[] = {
-    "PARAD_SERVE_BATCH",
-    "PARAD_SERVE_BREAKER",
-    "PARAD_SERVE_BREAKER_COOLDOWN_MS",
-    "PARAD_SERVE_BURST",
-    "PARAD_SERVE_CACHE_BYTES",
-    "PARAD_SERVE_CKPT_DIR",
-    "PARAD_SERVE_DEADLINE_MS",
-    "PARAD_SERVE_ENGINE",
-    "PARAD_SERVE_INFLIGHT",
-    "PARAD_SERVE_MAX_DELAY_US",
-    "PARAD_SERVE_QUEUE",
-    "PARAD_SERVE_RATE",
-    "PARAD_SERVE_RETRY",
-    "PARAD_SERVE_RETRY_BACKOFF_US",
-    "PARAD_SERVE_SMOKE",
-    "PARAD_SERVE_THREADS",
-};
-
-/// Scans the environment for PARAD_SERVE_-prefixed names that no knob owns,
-/// so a typo (PARAD_SERVE_DEDLINE_MS) fails loudly instead of silently
-/// running with defaults. Values are validated per knob by envDouble/envInt.
-void validateServeEnv() {
-  for (char** e = ::environ; e != nullptr && *e != nullptr; ++e) {
-    std::string_view ev(*e);
-    if (ev.rfind("PARAD_SERVE_", 0) != 0) continue;
-    std::string name(ev.substr(0, ev.find('=')));
-    bool known = false;
-    for (const char* k : kServeKnobs) known = known || name == k;
-    if (known) continue;
-    std::string all;
-    for (const char* k : kServeKnobs) all += std::string(all.empty() ? "" : ", ") + k;
-    fail("serve: unknown environment knob '", name, "'",
-         didYouMean(name, kServeKnobs), " (knobs: ", all, ")");
-  }
 }
 
 }  // namespace
@@ -127,27 +45,35 @@ std::uint64_t nowNs() {
 }
 
 ServeConfig ServeConfig::fromEnv() {
-  validateServeEnv();
+  // A typo (PARAD_SERVE_DEDLINE_MS) fails loudly instead of silently running
+  // with defaults.
+  rejectUnknownEnv("PARAD_SERVE_", "serve");
   ServeConfig cfg;
-  cfg.workers = std::max(1, envInt("PARAD_SERVE_THREADS", cfg.workers));
-  cfg.maxBatch = std::max(1, envInt("PARAD_SERVE_BATCH", cfg.maxBatch));
-  cfg.maxDelayUs = envTime("PARAD_SERVE_MAX_DELAY_US", cfg.maxDelayUs, 1e3);
+  auto num = [](std::string_view name, double dflt) {
+    return envNumber(name, dflt, "serve");
+  };
+  // Integer knobs are at most 2^31-1, so these casts are in range.
+  auto integer = [&](std::string_view name, int dflt) {
+    return static_cast<int>(num(name, dflt));
+  };
+  cfg.workers = std::max(1, integer("PARAD_SERVE_THREADS", cfg.workers));
+  cfg.maxBatch = std::max(1, integer("PARAD_SERVE_BATCH", cfg.maxBatch));
+  cfg.maxDelayUs = num("PARAD_SERVE_MAX_DELAY_US", cfg.maxDelayUs);
   cfg.queueCapacity = static_cast<std::size_t>(std::max(
-      1, envInt("PARAD_SERVE_QUEUE", static_cast<int>(cfg.queueCapacity))));
-  if (const char* e = std::getenv("PARAD_SERVE_ENGINE"); e != nullptr && *e)
+      1, integer("PARAD_SERVE_QUEUE", static_cast<int>(cfg.queueCapacity))));
+  if (std::string e = envText("PARAD_SERVE_ENGINE"); !e.empty())
     cfg.engine = e;
-  cfg.deadlineMs = envTime("PARAD_SERVE_DEADLINE_MS", cfg.deadlineMs, 1e6);
-  cfg.retryMax = envInt("PARAD_SERVE_RETRY", cfg.retryMax);
-  cfg.retryBackoffUs =
-      envTime("PARAD_SERVE_RETRY_BACKOFF_US", cfg.retryBackoffUs, 1e3);
-  cfg.ratePerSec = envDouble("PARAD_SERVE_RATE", cfg.ratePerSec);
-  cfg.rateBurst = envDouble("PARAD_SERVE_BURST", cfg.rateBurst);
-  cfg.maxInflight = envInt("PARAD_SERVE_INFLIGHT", cfg.maxInflight);
-  cfg.breakerThreshold = envInt("PARAD_SERVE_BREAKER", cfg.breakerThreshold);
+  cfg.deadlineMs = num("PARAD_SERVE_DEADLINE_MS", cfg.deadlineMs);
+  cfg.retryMax = integer("PARAD_SERVE_RETRY", cfg.retryMax);
+  cfg.retryBackoffUs = num("PARAD_SERVE_RETRY_BACKOFF_US", cfg.retryBackoffUs);
+  cfg.ratePerSec = num("PARAD_SERVE_RATE", cfg.ratePerSec);
+  cfg.rateBurst = num("PARAD_SERVE_BURST", cfg.rateBurst);
+  cfg.maxInflight = integer("PARAD_SERVE_INFLIGHT", cfg.maxInflight);
+  cfg.breakerThreshold = integer("PARAD_SERVE_BREAKER", cfg.breakerThreshold);
   cfg.breakerCooldownMs =
-      envTime("PARAD_SERVE_BREAKER_COOLDOWN_MS", cfg.breakerCooldownMs, 1e6);
+      num("PARAD_SERVE_BREAKER_COOLDOWN_MS", cfg.breakerCooldownMs);
   cfg.registryCapacityBytes = envByteSize("PARAD_SERVE_CACHE_BYTES");
-  if (const char* e = std::getenv("PARAD_SERVE_CKPT_DIR"); e != nullptr && *e)
+  if (std::string e = envText("PARAD_SERVE_CKPT_DIR"); !e.empty())
     cfg.ckptDir = e;
   return cfg;
 }
@@ -316,8 +242,8 @@ struct GradientService::Impl {
   std::string resolveEngine(const std::string& spec) const {
     std::string s = spec.empty() ? svc_.cfg_.engine : spec;
     if (s.empty()) s = interp::defaultEngine();
-    // Throws the registry's structured unknown-backend error (sorted backend
-    // list + did-you-mean) for bad specs; the admission stage turns it into
+    // Throws the engine table's unknown-backend error (sorted backend list +
+    // did-you-mean) for bad specs; the admission stage turns it into
     // the request's failure message.
     return std::string(interp::BackendRegistry::global().resolve(s).name());
   }
@@ -639,7 +565,7 @@ struct GradientService::Impl {
                                std::memory_order_relaxed);
       if (r.ok || !isTransient(r) || attempt >= budget) return r;
       double backoffNs = std::min(
-          std::ldexp(svc_.cfg_.retryBackoffUs * 1000.0, attempt), kMaxHostNs);
+          std::ldexp(svc_.cfg_.retryBackoffUs * 1000.0, attempt), kMaxTimeNs);
       if (backoffNs > 0) {
         std::uint64_t wake = nowNs() + static_cast<std::uint64_t>(backoffNs);
         if (deadlineNs != 0 && wake >= deadlineNs) return r;  // budget < time

@@ -54,7 +54,7 @@
 
 namespace parad::serve {
 
-/// Serving knobs. Defaults come from the environment:
+/// Serving knobs. Defaults come from these env knobs:
 ///   PARAD_SERVE_THREADS       worker pool size
 ///   PARAD_SERVE_BATCH         max requests coalesced into one batch
 ///   PARAD_SERVE_MAX_DELAY_US  max host-time a request waits for batch-mates

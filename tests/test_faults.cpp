@@ -125,6 +125,26 @@ TEST(Faults, ParseFaultSpec) {
   EXPECT_NE(errOf("seed=xyz").find("xyz"), std::string::npos);
   EXPECT_NE(errOf("maxretry=40").find("maxretry"), std::string::npos);
 
+  // Values are range-checked before any cast, so none of these reaches a
+  // float-to-int conversion or runs with an infinite time.
+  EXPECT_EQ(errOf("seed=-1"), "fault spec: seed must be non-negative, got '-1'");
+  EXPECT_EQ(errOf("seed=1e300"),
+            "fault spec: seed must be at most 9007199254740992, got '1e300'");
+  EXPECT_EQ(errOf("maxretry=1e30"),
+            "fault spec: maxretry must be at most 30, got '1e30'");
+  EXPECT_EQ(errOf("factor=inf"), "fault spec: factor must be finite, got 'inf'");
+  EXPECT_EQ(errOf("rto=inf"), "fault spec: rto must be finite, got 'inf'");
+  EXPECT_EQ(errOf("delayns=inf"),
+            "fault spec: delayns must be finite, got 'inf'");
+  // The bounds themselves are accepted.
+  psim::FaultConfig edge = psim::parseFaultSpec(
+      "seed=9007199254740992,maxretry=30,delayns=1e18,rto=1e18,factor=1");
+  EXPECT_EQ(edge.seed, 9007199254740992ull);
+  EXPECT_EQ(edge.maxRetransmits, 30);
+  EXPECT_DOUBLE_EQ(edge.delayNs, 1e18);
+  EXPECT_NE(errOf("delayns=1.5e18").find("delayns must be at most"),
+            std::string::npos);
+
   // Unknown keys are rejected with a structured error, never silently
   // ignored (a typo like `drp=0.1` must not run fault-free), and the error
   // suggests the nearest valid key.
@@ -169,6 +189,16 @@ TEST(Faults, ParseResilienceKeys) {
   EXPECT_NE(errOf("retry=-3").find("retry"), std::string::npos);
   EXPECT_NE(errOf("elastic=0.5").find("elastic must be 0 or 1"),
             std::string::npos);
+  EXPECT_EQ(errOf("retry=1e10"),
+            "fault spec: retry must be at most 2147483647, got '1e10'");
+  EXPECT_EQ(errOf("ckpt_interval=-1e12"),
+            "fault spec: ckpt_interval must be non-negative, got '-1e12'");
+  EXPECT_EQ(errOf("retry=2.7"),
+            "fault spec: retry must be a non-negative integer, got '2.7'");
+  EXPECT_EQ(errOf("ckpt_interval=1.5"),
+            "fault spec: ckpt_interval must be a non-negative integer, got "
+            "'1.5'");
+  EXPECT_EQ(errOf("killns=inf"), "fault spec: killns must be finite, got 'inf'");
   EXPECT_EQ(errOf("elastc=1"),
             "fault spec: unknown key 'elastc' (did you mean 'elastic'?)" +
                 std::string(kFaultKeyList));

@@ -1,20 +1,25 @@
-// Shared support utilities: strict byte-size knob parsing, did-you-mean
-// hints, the byte-capped LRU, and the values of the FNV-1a fingerprints
-// built on the shared hasher (the checkpoint and store checksums, the
-// ProgramCache revalidation fingerprint, and the content address of codegen
-// artifacts on disk).
+// Shared support utilities: strict byte-size knob parsing, the knob tables
+// (checked against the README's tables), did-you-mean hints, the
+// byte-capped LRU, and the values of the FNV-1a fingerprints built on the
+// shared hasher (the checkpoint and store checksums, the ProgramCache
+// revalidation fingerprint, and the content address of codegen artifacts on
+// disk).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <fstream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/apps/lulesh/lulesh.h"
 #include "src/apps/minibude/minibude.h"
 #include "src/interp/codegen.h"
 #include "src/interp/lower.h"
 #include "src/io/store.h"
-#include "src/support/bytes.h"
+#include "src/psim/faults.h"
+#include "src/support/knobs.h"
 #include "src/support/lru.h"
 #include "src/support/suggest.h"
 #include "tests/test_util.h"
@@ -103,6 +108,58 @@ TEST(ByteSize, EnvKnobsParseStrictly) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The knob tables and the README tables that document them.
+
+namespace {
+
+// The first cells of the README table rows that open with a code span
+// ("| `PARAD_X` |", "| `key=V` |"), without the backticks, in order.
+std::vector<std::string> readmeCodeCells() {
+  std::ifstream in(PARAD_SOURCE_DIR "/README.md");
+  EXPECT_TRUE(in.good()) << "cannot read README.md";
+  std::vector<std::string> cells;
+  for (std::string line; std::getline(in, line);) {
+    std::size_t end = line.find('`', 3);
+    if (line.rfind("| `", 0) == 0 && end != std::string::npos)
+      cells.push_back(line.substr(3, end - 3));
+  }
+  return cells;
+}
+
+}  // namespace
+
+TEST(Knobs, EnvTableIsSortedAndUnique) {
+  std::vector<std::string> names;
+  for (const Knob& k : envKnobs()) names.emplace_back(k.name);
+  EXPECT_EQ(names.size(), 25u);
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+}
+
+TEST(Knobs, ReadmeTablesMatchTheKnobTables) {
+  std::vector<std::string> envRows, faultRows;
+  for (const std::string& cell : readmeCodeCells()) {
+    std::string key = cell.substr(0, cell.find('='));
+    bool lowercase = std::all_of(key.begin(), key.end(), [](char c) {
+      return (c >= 'a' && c <= 'z') || c == '_';
+    });
+    if (cell.rfind("PARAD_", 0) == 0)
+      envRows.push_back(cell);  // spread over several tables
+    else if (key.size() < cell.size() && lowercase)
+      faultRows.push_back(key);  // the PARAD_FAULTS key table
+  }
+  std::sort(envRows.begin(), envRows.end());
+  std::vector<std::string> knobs;
+  for (const Knob& k : envKnobs()) knobs.emplace_back(k.name);
+  EXPECT_EQ(envRows, knobs);
+
+  // In the order of the key table.
+  std::vector<std::string> keys;
+  for (std::string_view k : psim::faultSpecKeys()) keys.emplace_back(k);
+  EXPECT_EQ(faultRows, keys);
 }
 
 // ---------------------------------------------------------------------------
