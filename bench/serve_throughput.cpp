@@ -212,7 +212,6 @@ void emitRow(bench::BenchJson& json, const std::string& name,
   json.num("program_cache_hits", static_cast<double>(pc.hits()));
   json.num("program_cache_misses", static_cast<double>(pc.misses()));
   json.num("codegen_compiles", static_cast<double>(cg.compiles));
-  json.num("codegen_mem_hits", static_cast<double>(cg.memHits));
   // Robustness telemetry (DESIGN.md §15): shedding, deadlines, retries,
   // breaker activity, and the byte-bounded cache evictions.
   json.num("shed_overload", static_cast<double>(st.shedOverload));
@@ -224,8 +223,7 @@ void emitRow(bench::BenchJson& json, const std::string& name,
   json.num("program_evictions", static_cast<double>(st.programEvictions));
   json.num("registry_bytes", static_cast<double>(st.registryBytes));
   json.num("program_cache_evictions", static_cast<double>(pc.evictions()));
-  json.num("codegen_evictions",
-           static_cast<double>(cg.memEvictions + cg.diskEvictions));
+  json.num("codegen_evictions", static_cast<double>(cg.diskEvictions));
   std::printf(
       "%-12s %6d req  %9.0f req/s  p50 %8.0f ns  p99 %9.0f ns  "
       "(%d ok, %d faulted, %llu batches, max batch %llu)\n",

@@ -9,8 +9,8 @@
 #   SANITIZE=1 ./scripts/check.sh      # ASan+UBSan (+ float-cast-overflow)
 #                                      # build (separate build dir)
 #   TSAN=1 ./scripts/check.sh          # ThreadSanitizer build, concurrency
-#                                      # suites only (serve pipeline, sharded
-#                                      # cache hammer, engine table, program
+#                                      # suites only (serve pipeline, cache
+#                                      # hammers, engine table, program
 #                                      # cache, psim rank fibers)
 #   CHAOS=1 ./scripts/check.sh         # widened fault-injection chaos sweep
 #   SCALE=1 ./scripts/check.sh         # 4096-virtual-rank weak-scaling smoke
@@ -50,13 +50,13 @@ fi
 
 if [[ "${TSAN:-0}" == "1" ]]; then
   # ThreadSanitizer lane: a separate build dir, restricted to the suites that
-  # exercise real host-thread concurrency (the serving pipeline, the sharded
-  # program-cache hammer, the engine table and its default-engine slot) or
-  # fiber switches (the psim suites run multi-rank machines, whose ranks are
-  # fibers on a per-run carrier thread), plus the program-cache suite, whose
-  # per-run closure memo is per-thread state that concurrent serve workers
-  # each touch. The full suite under TSan would mostly re-measure
-  # single-threaded VM code at ~10x slowdown.
+  # exercise real host-thread concurrency (the serving pipeline, the
+  # program-cache and codegen-artifact hammers, the engine table and its
+  # default-engine slot) or fiber switches (the psim suites run multi-rank
+  # machines, whose ranks are fibers on a per-run carrier thread), plus the
+  # program-cache suite, whose per-run closure memo is per-thread state that
+  # concurrent serve workers each touch. The full suite under TSan would
+  # mostly re-measure single-threaded VM code at ~10x slowdown.
   BUILD_DIR=${BUILD_DIR}-tsan
   CMAKE_ARGS+=(-DPARAD_SANITIZE=thread)
   export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1}

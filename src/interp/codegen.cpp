@@ -1,8 +1,6 @@
 #include "src/interp/codegen.h"
 
-#include <dirent.h>
 #include <dlfcn.h>
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -25,7 +23,6 @@
 #include "src/support/common.h"
 #include "src/support/fnv.h"
 #include "src/support/knobs.h"
-#include "src/support/lru.h"
 
 namespace parad::interp {
 
@@ -753,7 +750,7 @@ const parad_cg_api CodegenExecutor::kApi = {
 };
 
 // ---------------------------------------------------------------------------
-// Cache: memory -> disk -> compile, with graceful fallback.
+// Cache: disk -> compile, with graceful fallback.
 
 struct CodegenCache::Impl {
   mutable std::mutex mu;
@@ -762,33 +759,17 @@ struct CodegenCache::Impl {
   // another thread is running under `mu`, and so concurrent serving workers
   // report coherent numbers (src/serve surfaces these in its bench JSON).
   struct {
-    std::atomic<std::uint64_t> compiles{0}, diskHits{0}, memHits{0},
-        fallbacks{0}, memEvictions{0}, diskEvictions{0};
+    std::atomic<std::uint64_t> compiles{0}, diskHits{0}, fallbacks{0},
+        diskEvictions{0};
   } counters;
   core::RemarkStream remarks;
-  // In-process artifacts by fingerprint, LRU-ordered for the memory byte
-  // cap. An entry's bytes are the .so file size — a deterministic, cheap
-  // proxy for the mapped object.
-  ByteLru<std::uint64_t, std::shared_ptr<const CodegenArtifact>> mem;
   std::unordered_set<std::uint64_t> failed;  // fingerprints that won't compile
   std::unordered_map<std::string, bool> compilerOk;  // probe memo
   bool warnedNoCompiler = false;
 
-  std::size_t memCap() const {
-    if (cfg.memCapacityBytes != 0) return cfg.memCapacityBytes;
-    return envByteSize("PARAD_CODEGEN_MEM_BYTES");
-  }
   std::size_t diskCap() const {
     if (cfg.diskCapacityBytes != 0) return cfg.diskCapacityBytes;
     return envByteSize("PARAD_CODEGEN_DISK_BYTES");
-  }
-  // Inserts (or refreshes) an artifact and applies the memory byte cap; the
-  // fresh entry always survives. Caller holds `mu`. Dropped artifacts keep
-  // executing in runs that already hold a shared_ptr — the dlclose happens
-  // when the last reference drops.
-  void insertMem(std::uint64_t fp, std::shared_ptr<const CodegenArtifact> art,
-                 std::size_t bytes) {
-    counters.memEvictions += mem.put(fp, std::move(art), bytes, memCap());
   }
 
   // Applies the disk byte cap after an install via the shared hardened
@@ -847,12 +828,6 @@ std::string firstLineOf(const std::string& path) {
   return "";
 }
 
-std::size_t fileSize(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0 ? static_cast<std::size_t>(st.st_size)
-                                        : 0;
-}
-
 /// dlopens a generated object and validates its ABI version and fingerprint.
 /// Returns nullptr (with a reason) on any mismatch — the caller recompiles.
 std::shared_ptr<const CodegenArtifact> tryOpen(const std::string& path,
@@ -896,10 +871,6 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   std::uint64_t fp = closureFingerprint(xm);
-  if (auto* art = im.mem.get(fp)) {
-    ++im.counters.memHits;
-    return *art;
-  }
   if (im.failed.count(fp) != 0) {
     ++im.counters.fallbacks;
     return nullptr;
@@ -924,7 +895,6 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
   if (::access(soPath.c_str(), F_OK) == 0) {
     if (auto art = tryOpen(soPath, fp, xm, &reason)) {
       ++im.counters.diskHits;
-      im.insertMem(fp, art, fileSize(soPath));
       im.remarks.emit(core::RemarkKind::Backend,
                       "codegen: reused on-disk artifact for " + entry +
                           " (fp " + hex + ")");
@@ -1022,7 +992,6 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
                         ": " + reason + ": falling back to exec engine");
     return nullptr;
   }
-  im.insertMem(fp, art, fileSize(soPath));
   im.sweepDisk(dir, soPath);
   im.remarks.emit(core::RemarkKind::Backend,
                   "codegen: compiled " + entry + " (fp " + hex + ", " +
@@ -1034,7 +1003,6 @@ std::shared_ptr<const CodegenArtifact> CodegenCache::lookup(
 void CodegenCache::clear() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  im.mem.clear();  // dlcloses via artifact destructors
   im.failed.clear();
   im.compilerOk.clear();
   im.warnedNoCompiler = false;
@@ -1045,9 +1013,7 @@ CodegenCounters CodegenCache::counters() const {
   CodegenCounters out;
   out.compiles = im.counters.compiles.load(std::memory_order_relaxed);
   out.diskHits = im.counters.diskHits.load(std::memory_order_relaxed);
-  out.memHits = im.counters.memHits.load(std::memory_order_relaxed);
   out.fallbacks = im.counters.fallbacks.load(std::memory_order_relaxed);
-  out.memEvictions = im.counters.memEvictions.load(std::memory_order_relaxed);
   out.diskEvictions =
       im.counters.diskEvictions.load(std::memory_order_relaxed);
   return out;
@@ -1094,22 +1060,14 @@ class CodegenBackend final : public ExecBackend {
   RtVal run(const ir::Module& mod, const ir::Function& fn,
             std::vector<RtVal> args, psim::Machine& machine,
             psim::RankEnv& env) const override {
-    std::uint64_t runId = machine.runId();
-    std::shared_ptr<const ExecModule> xm = compileClosure(mod, fn, runId);
-    // Like compileClosure: the artifact is looked up once per run and
-    // closure, and reused by the run's later ranks (all on this thread).
-    thread_local struct {
-      std::uint64_t runId = 0;
-      std::shared_ptr<const ExecModule> xm;
-      std::shared_ptr<const CodegenArtifact> art;
-    } memo;
-    std::shared_ptr<const CodegenArtifact> art;
-    if (runId != 0 && memo.runId == runId && memo.xm == xm) {
-      art = memo.art;
-    } else {
-      art = CodegenCache::global().lookup(*xm);
-      if (runId != 0) memo = {runId, xm, art};
-    }
+    std::shared_ptr<const ExecModule> xm =
+        compileClosure(mod, fn, machine.runId());
+    // The artifact is looked up once per closure, by whichever run gets
+    // there first; concurrent runs of the same closure wait for that lookup.
+    std::call_once(xm->codegenOnce, [&xm] {
+      xm->codegen = CodegenCache::global().lookup(*xm);
+    });
+    std::shared_ptr<const CodegenArtifact> art = xm->codegen;
     if (art == nullptr) {
       // Graceful fallback (no compiler / compile failure): run the same
       // lowered program on the exec engine — bit-identical by contract.

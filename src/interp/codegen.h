@@ -46,14 +46,12 @@ struct CodegenConfig {
   std::string compiler;    // "": $PARAD_CXX, else the build-time compiler
   std::string cacheDir;    // "": $PARAD_CODEGEN_DIR, else per-user tmp dir
   std::string extraFlags;  // appended to the compile line ($PARAD_CODEGEN_FLAGS)
-  // Byte capacities for the artifact caches; 0 = unbounded (the defaults,
-  // also settable via $PARAD_CODEGEN_MEM_BYTES / $PARAD_CODEGEN_DISK_BYTES).
-  // The in-process cache evicts dlopen'd artifacts least-recently-used by
-  // .so size; runs holding a shared_ptr keep executing safely (the dlclose
-  // happens when the last reference drops). The disk cache sweeps
+  // Byte capacity of the on-disk artifact store; 0 = unbounded (the default,
+  // also settable via $PARAD_CODEGEN_DISK_BYTES). The store sweeps
   // oldest-modified artifacts (plus their source/log siblings) after each
-  // install. Evicted artifacts reload from disk or recompile transparently.
-  std::size_t memCapacityBytes = 0;
+  // install; a swept artifact recompiles on its next lookup. In memory an
+  // artifact lives on the lowered closure it was built from (ExecModule::
+  // codegen) and is dlclosed with it, e.g. when the ProgramCache evicts it.
   std::size_t diskCapacityBytes = 0;
   // Seeded disk-fault injection for the artifact install path (tests): an
   // injected failure or torn install is tolerated exactly like a real one —
@@ -66,9 +64,7 @@ struct CodegenConfig {
 struct CodegenCounters {
   std::uint64_t compiles = 0;   // source emitted and host compiler invoked
   std::uint64_t diskHits = 0;   // artifact dlopen'd straight from disk
-  std::uint64_t memHits = 0;    // artifact served from the in-process cache
   std::uint64_t fallbacks = 0;  // lookups that fell back to the exec engine
-  std::uint64_t memEvictions = 0;   // artifacts LRU-dropped from memory
   std::uint64_t diskEvictions = 0;  // .so files swept from the cache dir
 };
 
@@ -85,19 +81,22 @@ std::string emitClosureSource(const ExecModule& xm);
 /// the destructor dlcloses.
 class CodegenArtifact;
 
-/// Process-wide artifact cache: fingerprint -> compiled shared object.
+/// Process-wide artifact store: fingerprint -> compiled shared object on
+/// disk, plus the sticky set of fingerprints that failed to build. It holds
+/// no artifact in memory; the codegen backend keeps the one it looked up on
+/// the closure (ExecModule::codegen).
 class CodegenCache {
  public:
   static CodegenCache& global();
 
-  /// Returns the artifact for this closure, from memory, disk, or a fresh
-  /// compile — or nullptr when the backend must fall back to exec (no host
-  /// compiler, compile failure). Never throws for toolchain problems.
+  /// Returns the artifact for this closure, from disk or a fresh compile —
+  /// or nullptr when the backend must fall back to exec (no host compiler,
+  /// compile failure). Never throws for toolchain problems.
   std::shared_ptr<const CodegenArtifact> lookup(const ExecModule& xm);
 
-  /// Drops every in-process artifact (dlclose) and forgets sticky
-  /// no-compiler / failed-compile state. On-disk shared objects survive —
-  /// clearing simulates a fresh process against a warm disk cache.
+  /// Forgets sticky no-compiler / failed-compile state. Artifacts already
+  /// attached to closures and on-disk shared objects survive; clearing this
+  /// and the ProgramCache simulates a fresh process against a warm disk.
   void clear();
 
   CodegenCounters counters() const;

@@ -1,6 +1,5 @@
 #include "src/interp/lower.h"
 
-#include <algorithm>
 #include <deque>
 
 #include "src/support/fnv.h"
@@ -363,7 +362,8 @@ std::shared_ptr<const ExecModule> compileClosure(const ir::Module& mod,
 // ProgramCache.
 
 std::size_t execModuleBytes(const ExecModule& xm) {
-  std::size_t total = sizeof(ExecModule);
+  std::size_t total =
+      sizeof(xm.programs) + sizeof(xm.indexOf) + sizeof(xm.trapMsgs);
   for (const ExecProgram& p : xm.programs) {
     total += sizeof(ExecProgram) + p.name.size();
     total += p.paramSlots.size() * sizeof(std::int32_t);
@@ -404,79 +404,60 @@ static bool stillValid(const ir::Module& mod, const ir::Function& entry,
 std::shared_ptr<const ExecModule> ProgramCache::lookup(
     const ir::Module& mod, const ir::Function& entry) {
   Key k{&mod, entry.name};
-  Shard& sh = shardOf(k);
   std::shared_ptr<const ExecModule> cached;
   {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    if (auto* xm = sh.lru.get(k)) cached = *xm;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto* xm = lru_.get(k)) cached = *xm;
   }
   if (cached != nullptr) {
-    // Revalidate outside the shard lock: fingerprinting walks the (read-only
-    // during execution) IR and must not serialize the whole shard behind one
+    // Revalidate outside the lock: fingerprinting walks the (read-only
+    // during execution) IR and must not serialize other lookups behind one
     // large closure.
     if (stillValid(mod, entry, *cached)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return cached;
     }
-    std::lock_guard<std::mutex> lock(sh.mu);
+    std::lock_guard<std::mutex> lock(mu_);
     // Only drop the entry we validated; a concurrent relowering may already
     // have replaced it with a fresh one.
-    if (auto* xm = sh.lru.get(k); xm != nullptr && *xm == cached)
-      sh.lru.erase(k);
+    if (auto* xm = lru_.get(k); xm != nullptr && *xm == cached) lru_.erase(k);
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto xm = lower(mod, entry);
   std::size_t bytes = execModuleBytes(*xm);
-  // The global budget is split evenly across the shards. A concurrent miss
-  // may have inserted first; last insert wins (both closures are
-  // equivalent). The fresh insert always survives, so an oversized closure
-  // degrades to relower-per-use instead of failing.
-  std::size_t cap = capacityBytes_.load(std::memory_order_relaxed);
-  std::size_t perShard = cap == 0 ? 0 : std::max<std::size_t>(cap / kShards, 1);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  if (std::size_t dropped = sh.lru.put(k, xm, bytes, perShard))
+  // A concurrent miss may have inserted first; last insert wins (both
+  // closures are equivalent). The fresh insert always survives, so an
+  // oversized closure degrades to relower-per-use instead of failing.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (std::size_t dropped = lru_.put(k, xm, bytes, capacityBytes()))
     evictions_.fetch_add(dropped, std::memory_order_relaxed);
   return xm;
 }
 
 void ProgramCache::invalidate(const std::string& fnName) {
-  std::uint64_t dropped = 0;
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    dropped += sh.lru.eraseIf([&](const Key&, const auto& xm) {
-      return xm->indexOf.count(fnName) != 0;
-    });
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t dropped = lru_.eraseIf([&](const Key&, const auto& xm) {
+    return xm->indexOf.count(fnName) != 0;
+  });
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
 }
 
 void ProgramCache::invalidateModule(const void* mod) {
-  std::uint64_t dropped = 0;
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    dropped += sh.lru.eraseIf([&](const Key& k, const auto&) {
-      return static_cast<const void*>(k.mod) == mod;
-    });
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t dropped = lru_.eraseIf([&](const Key& k, const auto&) {
+    return static_cast<const void*>(k.mod) == mod;
+  });
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
 }
 
 void ProgramCache::clear() {
-  std::uint64_t dropped = 0;
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    dropped += sh.lru.clear();
-  }
-  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  invalidations_.fetch_add(lru_.clear(), std::memory_order_relaxed);
 }
 
 std::size_t ProgramCache::bytesInUse() const {
-  std::size_t total = 0;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    total += sh.lru.bytes();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return lru_.bytes();
 }
 
 }  // namespace parad::interp

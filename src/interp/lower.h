@@ -115,11 +115,18 @@ struct ExecProgram {
   std::uint64_t fingerprint = 0;   // structural hash of the source Function
 };
 
+class CodegenArtifact;  // codegen.h
+
 /// A lowered closure: entry program plus all transitively-called programs.
 struct ExecModule {
   std::vector<ExecProgram> programs;  // [0] is the entry
   std::unordered_map<std::string, std::int32_t> indexOf;
   std::vector<std::string> trapMsgs;  // lazily-failing instruction messages
+  // The codegen backend's artifact for this closure, looked up once under
+  // `codegenOnce` by the first codegen run and freed with the closure; null
+  // when that lookup fell back to exec (DESIGN.md §13).
+  mutable std::once_flag codegenOnce;
+  mutable std::shared_ptr<const CodegenArtifact> codegen;
 };
 
 /// Structural hash of a function: ops, operands, results, payloads, region
@@ -127,8 +134,9 @@ struct ExecModule {
 std::uint64_t fingerprint(const ir::Function& fn);
 
 /// Deterministic footprint estimate of a lowered closure (flat vectors plus
-/// fixed struct overhead) — the unit of account for the ProgramCache's byte
-/// capacity and the serving layer's registry bound.
+/// fixed struct overhead of the lowered data; the codegen artifact slot is
+/// not counted) — the unit of account for the ProgramCache's byte capacity
+/// and the serving layer's registry bound.
 std::size_t execModuleBytes(const ExecModule& xm);
 
 /// Lowers `entry` and its callee closure against `mod`.
@@ -156,14 +164,12 @@ std::shared_ptr<const ExecModule> compileClosure(const ir::Module& mod,
 /// reused) relower transparently. compileClosure consults the cache once per
 /// Machine::run, so a run pays one revalidation however many ranks it has.
 ///
-/// The cache is sharded by key hash: concurrent lookups from the serving
-/// layer's worker pool (src/serve) only contend when they land on the same
-/// shard, and the per-shard mutex is held only for map find/insert/erase —
+/// One LRU under one mutex, held only for a map find/insert/erase:
 /// fingerprint revalidation and relowering both run outside the lock (the IR
 /// is read-only during execution; two threads that miss the same key may
 /// both lower, which is benign: the entries are equivalent and last-insert
 /// wins). Counters are atomics so concurrent serving reports coherent
-/// numbers without taking any shard lock.
+/// numbers without taking the lock.
 class ProgramCache {
  public:
   static ProgramCache& global();
@@ -183,11 +189,12 @@ class ProgramCache {
   void clear();
 
   /// Byte capacity for LRU eviction (0 = unbounded, the default; also
-  /// settable via PARAD_PROGRAM_CACHE_BYTES). The budget is split evenly
-  /// across the shards; within a shard the least-recently-used closures are
-  /// dropped on insert until the shard fits. Evicted closures transparently
-  /// relower on the next lookup (a miss), so capacity only trades memory
-  /// for recompiles — never correctness.
+  /// settable via PARAD_PROGRAM_CACHE_BYTES). The least-recently-used
+  /// closures are dropped on insert until the cache fits, never the one
+  /// just inserted. Evicted closures transparently relower on the next
+  /// lookup (a miss), so capacity only trades memory for recompiles —
+  /// never correctness. An evicted closure frees its codegen artifact once
+  /// no run holds it; the next codegen run reloads the artifact from disk.
   void setCapacityBytes(std::size_t bytes) {
     capacityBytes_.store(bytes, std::memory_order_relaxed);
   }
@@ -226,18 +233,8 @@ class ProgramCache {
              std::hash<std::string>()(k.entry);
     }
   };
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::mutex mu;
-    ByteLru<Key, std::shared_ptr<const ExecModule>, KeyHash> lru;
-  };
-  Shard& shardOf(const Key& k) {
-    // Spread the map hash across shards with a multiplicative mix so shard
-    // choice is not correlated with unordered_map bucket choice.
-    std::size_t h = KeyHash()(k) * 0x9e3779b97f4a7c15ull;
-    return shards_[(h >> 32) % kShards];
-  }
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  ByteLru<Key, std::shared_ptr<const ExecModule>, KeyHash> lru_;
   std::atomic<std::uint64_t> hits_{0}, misses_{0}, invalidations_{0},
       evictions_{0};
   std::atomic<std::size_t> capacityBytes_{0};

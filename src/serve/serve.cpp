@@ -84,8 +84,8 @@ ServeConfig ServeConfig::fromEnv() {
 struct GradientService::Impl {
   /// One tenant program (possibly shared by several registered names when
   /// their primal IR fingerprints coincide). The module's heap address is
-  /// stable for the service's lifetime — the sharded ProgramCache keys
-  /// lowered closures by it.
+  /// stable for the service's lifetime — the ProgramCache keys lowered
+  /// closures by it.
   struct Program {
     std::string primal;
     i64 n = 0;

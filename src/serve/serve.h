@@ -6,7 +6,7 @@
 //     MPMC request queue (backpressure when full);
 //   * the batcher thread admits each request — resolves its tenant program,
 //     validates the engine spec against the backend registry, fingerprints
-//     the program against the sharded process-wide ProgramCache — and
+//     the program against the process-wide ProgramCache — and
 //     coalesces same-fingerprint requests into pending batches, flushing a
 //     batch to the worker pool when it reaches max_batch or its oldest
 //     request has waited max_delay;

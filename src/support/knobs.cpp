@@ -22,7 +22,6 @@ constexpr Knob kEnvKnobs[] = {
     {"PARAD_CODEGEN_DIR", KnobKind::Text},
     {"PARAD_CODEGEN_DISK_BYTES", KnobKind::Bytes},
     {"PARAD_CODEGEN_FLAGS", KnobKind::Text},
-    {"PARAD_CODEGEN_MEM_BYTES", KnobKind::Bytes},
     {"PARAD_CXX", KnobKind::Text},
     {"PARAD_ENGINE", KnobKind::Text},
     {"PARAD_FAULTS", KnobKind::Text},

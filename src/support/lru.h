@@ -1,6 +1,5 @@
-// A byte-capped LRU map: the shared eviction policy of the ProgramCache
-// shards and the codegen artifact memory cache. Not thread-safe; each
-// caller keeps its own lock and its own counters.
+// A byte-capped LRU map: the eviction policy of the ProgramCache. Not
+// thread-safe; the caller keeps its own lock and its own counters.
 #pragma once
 
 #include <cstddef>

@@ -2,11 +2,12 @@
 //
 // Covers the engine surface the differential suites assume: the fixed
 // engine table and its aliases, strict PARAD_ENGINE-style spec rejection
-// (structured error, did-you-mean), and the codegen artifact cache life
-// cycle — compile-once / memory-hit / disk-reuse-across-processes
-// (simulated via clear()),
-// corrupt- and stale-artifact invalidation, fingerprint revalidation after a
-// pass mutates IR in place, and the graceful no-compiler fallback to exec.
+// (structured error, did-you-mean), and the codegen artifact life cycle —
+// compile once, reuse on the closure, disk reuse across processes
+// (simulated by freshProcess()), eviction with the closure, one lookup per
+// closure under concurrent runs, corrupt- and stale-artifact invalidation,
+// fingerprint revalidation after a pass mutates IR in place, and the
+// graceful no-compiler fallback to exec.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +15,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/interp/backend.h"
@@ -40,9 +43,17 @@ struct EngineGuard {
   ~EngineGuard() { interp::setDefaultEngine(saved); }
 };
 
+/// Models a fresh process against a warm disk: drops every lowered closure
+/// (and with it the codegen artifact it carries, unless a caller still holds
+/// the closure) and the codegen cache's sticky failure state.
+void freshProcess() {
+  interp::ProgramCache::global().clear();
+  interp::CodegenCache::global().clear();
+}
+
 /// Points the codegen cache at a private fresh directory for one test and
-/// restores the previous configuration (plus a clean in-memory cache) on
-/// exit. Disk artifacts from other tests can then never satisfy a lookup.
+/// restores the previous configuration (plus fresh caches) on exit. Disk
+/// artifacts and closures from other tests can then never satisfy a lookup.
 struct CodegenSandbox {
   interp::CodegenConfig saved;
   std::string dir;
@@ -58,13 +69,13 @@ struct CodegenSandbox {
     dir = made;
     cfg.cacheDir = dir;
     cache.setConfig(cfg);
-    cache.clear();
+    freshProcess();
     cache.clearRemarks();
   }
   ~CodegenSandbox() {
     auto& cache = interp::CodegenCache::global();
     cache.setConfig(saved);
-    cache.clear();
+    freshProcess();
     cache.clearRemarks();
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
@@ -240,16 +251,17 @@ TEST(Codegen, CompileOnceThenMemoryHitThenDiskReuse) {
             std::string::npos);
   EXPECT_TRUE(std::filesystem::exists(artifactPath(mod)));
 
-  // Second run in the same process: served from the in-memory cache.
+  // Second run in the same process: the cached closure carries its artifact,
+  // so the cache is not consulted again.
   EXPECT_EQ(runWith(mod, "codegen"), want);
   auto c2 = cache.counters();
   EXPECT_EQ(c2.compiles, c1.compiles);
-  EXPECT_GT(c2.memHits, c1.memHits);
+  EXPECT_EQ(c2.diskHits, c1.diskHits);
+  EXPECT_EQ(c2.fallbacks, c1.fallbacks);
 
-  // clear() drops the in-memory artifacts but not the disk: the next lookup
-  // models a *fresh process* against a warm cache directory and must reuse
-  // the shared object without recompiling.
-  cache.clear();
+  // A fresh process against a warm cache directory must reuse the shared
+  // object without recompiling.
+  freshProcess();
   cache.clearRemarks();
   EXPECT_EQ(runWith(mod, "codegen"), want);
   auto c3 = cache.counters();
@@ -270,7 +282,7 @@ TEST(Codegen, CorruptArtifactIsDiscardedAndRecompiled) {
 
   // Simulate a fresh process first (dlclose — never scribble over a shared
   // object that is still mapped), then trash the installed artifact.
-  cache.clear();
+  freshProcess();
   cache.clearRemarks();
   std::string so = artifactPath(mod);
   ASSERT_TRUE(std::filesystem::exists(so));
@@ -302,7 +314,7 @@ TEST(Codegen, StaleFingerprintArtifactIsInvalidated) {
   std::filesystem::copy_file(
       artifactPath(modA), artifactPath(modB),
       std::filesystem::copy_options::overwrite_existing);
-  cache.clear();
+  freshProcess();
   cache.clearRemarks();
   std::uint64_t compiles = cache.counters().compiles;
 
@@ -355,12 +367,13 @@ TEST(Codegen, PassMutationRelowersAndRecompiles) {
   EXPECT_EQ(cache.counters().compiles, compiles + 1);
 }
 
-TEST(Codegen, MemoryCapEvictsLruArtifactsAndDiskStillServes) {
+TEST(Codegen, ProgramCacheEvictionDropsArtifactAndDiskStillServes) {
   if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
-  interp::CodegenConfig cfg;
-  cfg.memCapacityBytes = 1;  // far below one .so: keep only the newest
-  CodegenSandbox sandbox(cfg);
+  CodegenSandbox sandbox;
   auto& cache = interp::CodegenCache::global();
+  auto& programs = interp::ProgramCache::global();
+  const std::size_t savedCap = programs.capacityBytes();
+  programs.setCapacityBytes(1);  // far below one closure: keep the newest
   ir::Module modA = arithModule(21.5);
   ir::Module modB = arithModule(22.5);
   double wantA = runWith(modA, "exec");
@@ -368,26 +381,33 @@ TEST(Codegen, MemoryCapEvictsLruArtifactsAndDiskStillServes) {
 
   auto c0 = cache.counters();
   EXPECT_EQ(runWith(modA, "codegen"), wantA);
-  // Compiling B pushes A's artifact out of the in-process cache (the cap
-  // never evicts the entry being inserted, so B itself survives).
+  std::weak_ptr<const interp::CodegenArtifact> artA =
+      interp::compileClosure(modA, modA.get("f"))->codegen;
+  EXPECT_FALSE(artA.expired());
+  // Lowering B evicts A's closure (the cap never evicts the entry being
+  // inserted, so B itself survives), and A's artifact goes with it.
+  const std::uint64_t e0 = programs.evictions();
   EXPECT_EQ(runWith(modB, "codegen"), wantB);
   auto c1 = cache.counters();
   EXPECT_EQ(c1.compiles, c0.compiles + 2);
-  EXPECT_GE(c1.memEvictions, c0.memEvictions + 1);
+  EXPECT_GE(programs.evictions(), e0 + 1);
+  EXPECT_TRUE(artA.expired());
 
-  // A's shared object is still installed on disk: re-running A is a disk
-  // hit, not a recompile — eviction trades memory for dlopens, never
-  // correctness.
+  // A's shared object is still installed on disk: re-running A relowers it
+  // and reloads the artifact from disk instead of recompiling — eviction
+  // trades memory for dlopens, never correctness.
   EXPECT_EQ(runWith(modA, "codegen"), wantA);
   auto c2 = cache.counters();
   EXPECT_EQ(c2.compiles, c1.compiles);
   EXPECT_EQ(c2.diskHits, c1.diskHits + 1);
   EXPECT_TRUE(std::filesystem::exists(artifactPath(modA)));
 
-  // B (the LRU now) was evicted in turn; its run also comes back from disk
-  // and stays bit-identical.
+  // B was evicted in turn; its run also comes back from disk and stays
+  // bit-identical.
   EXPECT_EQ(runWith(modB, "codegen"), wantB);
   EXPECT_EQ(cache.counters().compiles, c2.compiles);
+  EXPECT_EQ(cache.counters().diskHits, c2.diskHits + 1);
+  programs.setCapacityBytes(savedCap);
 }
 
 TEST(Codegen, DiskCapSweepsOldestArtifacts) {
@@ -412,9 +432,9 @@ TEST(Codegen, DiskCapSweepsOldestArtifacts) {
   EXPECT_FALSE(std::filesystem::exists(artifactPath(modA)));
   EXPECT_TRUE(std::filesystem::exists(artifactPath(modB)));
 
-  // A fresh process (simulated by clear()) finds A gone from memory and
-  // disk: the lookup recompiles and the value is still bit-identical.
-  cache.clear();
+  // A fresh process finds A gone from memory and disk: the lookup
+  // recompiles and the value is still bit-identical.
+  freshProcess();
   EXPECT_EQ(runWith(modA, "codegen"), wantA);
   EXPECT_EQ(cache.counters().compiles, c1.compiles + 1);
 }
@@ -440,10 +460,38 @@ TEST(Codegen, FallsBackToExecWithoutCompiler) {
   EXPECT_NE(remarks.find("falling back to exec engine"), std::string::npos)
       << remarks;
 
-  // The sticky failed-fingerprint set keeps later runs from re-probing the
-  // toolchain per run; they still produce exec-identical results.
+  // The closure remembers its failed lookup, so a later run neither
+  // re-probes the toolchain nor counts another fallback (a relowered closure
+  // would hit the sticky failed-fingerprint set instead); it still produces
+  // exec-identical results.
   EXPECT_EQ(runWith(mod, "codegen"), runWith(mod, "exec"));
-  EXPECT_EQ(cache.counters().fallbacks, after.fallbacks + 1);
+  EXPECT_EQ(cache.counters().fallbacks, after.fallbacks);
+}
+
+TEST(CacheConcurrency, CodegenArtifactLookedUpOncePerClosure) {
+  if (!hostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  CodegenSandbox sandbox;
+  auto& cache = interp::CodegenCache::global();
+  ir::Module mod = arithModule(41.5);
+  // The exec reference run also lowers the closure into the ProgramCache,
+  // so every codegen run below shares that one closure.
+  const double want = runWith(mod, "exec");
+
+  constexpr int kThreads = 8;
+  std::vector<double> got(kThreads, 0.0);
+  const auto c0 = cache.counters();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] { got[t] = runWith(mod, "codegen"); });
+  for (auto& th : threads) th.join();
+  const auto c1 = cache.counters();
+
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], want) << "t=" << t;
+  // Exactly one lookup reached the cache: one compile (or, on a warm disk,
+  // one disk hit; with a broken toolchain, one fallback).
+  EXPECT_EQ((c1.compiles + c1.diskHits + c1.fallbacks) -
+                (c0.compiles + c0.diskHits + c0.fallbacks),
+            1u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Gradient-as-a-service pipeline (DESIGN.md §14): batching, bit-exactness
 // against single-shot gradients on every engine, fault and bad-input
 // isolation, cross-tenant fingerprint sharing, admission errors, and the
-// sharded ProgramCache under concurrent hammering.
+// ProgramCache under concurrent hammering.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -277,8 +277,8 @@ TEST(Serve, ColdThenHotSurfacesCacheCounters) {
 
   serve::ServiceStats st = svc.stats();
   EXPECT_EQ(st.coldCompiles, 1u);
-  // The hot request re-looked-up the lowered closure: the sharded cache's
-  // counters must have moved.
+  // The hot request re-looked-up the lowered closure: the cache's counters
+  // must have moved.
   EXPECT_GT(pc.hits(), hitsAfterCold);
   EXPECT_GT(pc.misses(), 0u);
 }
@@ -427,7 +427,7 @@ TEST(Serve, ManyClientThreadsMixedTenants) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded ProgramCache under concurrent hammering.
+// ProgramCache under concurrent hammering.
 
 /// Like servable(), but the multiplier is a foldable const expression so
 /// passes::cleanup() mutates the IR in place (shrinking it without changing
@@ -1193,17 +1193,17 @@ TEST(CacheEviction, ProgramCacheByteCapEvictsLeastRecentlyUsed) {
   std::deque<ir::Module> mods;
   for (int k = 0; k < kMods; ++k) mods.push_back(hammerModule(500.0 + k));
 
-  // A cap far below one closure: each of the 16 shards keeps exactly its
-  // most recent entry (eviction never drops a shard's only closure, so a
-  // fresh insert always survives its own admission).
+  // A cap far below one closure: the cache keeps exactly its most recent
+  // entry (eviction never drops the only closure, so a fresh insert always
+  // survives its own admission).
   cache.setCapacityBytes(16);
   for (auto& mod : mods) {
     auto xm = cache.lookup(mod, mod.get("f"));
     ASSERT_NE(xm, nullptr);
     EXPECT_EQ(xm->programs[0].name, "f");
   }
-  // 48 inserts into 16 shards holding one entry each: at least 32 evictions.
-  EXPECT_GE(cache.evictions() - e0, static_cast<std::uint64_t>(kMods - 16));
+  // The cap covers the whole cache: every insert after the first evicts.
+  EXPECT_GE(cache.evictions() - e0, static_cast<std::uint64_t>(kMods - 1));
 
   // An evicted closure relowers on demand and still executes correctly.
   auto again = cache.lookup(mods[0], mods[0].get("f"));

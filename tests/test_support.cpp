@@ -39,10 +39,10 @@ std::string byteSizeError(const std::string& name, const std::string& text) {
   return "";
 }
 
-// The four byte-size knobs, all read through envByteSize.
-const char* const kByteKnobs[] = {
-    "PARAD_PROGRAM_CACHE_BYTES", "PARAD_CODEGEN_MEM_BYTES",
-    "PARAD_CODEGEN_DISK_BYTES", "PARAD_CKPT_DISK_BYTES"};
+// The three byte-size knobs, all read through envByteSize.
+const char* const kByteKnobs[] = {"PARAD_PROGRAM_CACHE_BYTES",
+                                  "PARAD_CODEGEN_DISK_BYTES",
+                                  "PARAD_CKPT_DISK_BYTES"};
 
 }  // namespace
 
@@ -65,8 +65,8 @@ TEST(ByteSize, RejectsMalformedValuesNamingVariableAndValue) {
       "K, M or G)";
   for (const char* bad : {"", "abc", "-1", "+5", " 5", "5 ", "1.5M", "64MB",
                           "64m", "0x10", "K", "12KM"})
-    EXPECT_EQ(byteSizeError("PARAD_CODEGEN_MEM_BYTES", bad),
-              "PARAD_CODEGEN_MEM_BYTES='" + std::string(bad) + expected)
+    EXPECT_EQ(byteSizeError("PARAD_CODEGEN_DISK_BYTES", bad),
+              "PARAD_CODEGEN_DISK_BYTES='" + std::string(bad) + expected)
         << bad;
 }
 
@@ -134,7 +134,7 @@ std::vector<std::string> readmeCodeCells() {
 TEST(Knobs, EnvTableIsSortedAndUnique) {
   std::vector<std::string> names;
   for (const Knob& k : envKnobs()) names.emplace_back(k.name);
-  EXPECT_EQ(names.size(), 25u);
+  EXPECT_EQ(names.size(), 24u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
 }
