@@ -30,7 +30,7 @@ using ir::Op;
 
 // Bumped whenever the emitter changes what it prints for the same closure:
 // part of the artifact fingerprint, so stale on-disk objects never load.
-constexpr std::uint64_t kGeneratorVersion = 1;
+constexpr std::uint64_t kGeneratorVersion = 2;
 
 // The generated code's structs must alias the host's exactly — every frame,
 // worker and return-value pointer crosses the ABI as a reinterpret_cast.
@@ -158,6 +158,9 @@ class SourceEmitter {
   // Flushes the range's partial dispatch count and propagates Return —
   // exactly `rr.insts += nd; return Flow::Return;` in the exec loop.
   static constexpr const char* kPropagate = "{ *c->insts += nd; return 1; }";
+  // INT64_MIN as a C expression (the literal 9223372036854775808 does not
+  // fit a signed long long, so it cannot be negated directly).
+  static constexpr const char* kInt64Min = "(-9223372036854775807ll - 1)";
 
   /// Emits a pure frame-only op (the fusable-superinstruction set plus a few
   /// more). `res` is the result slot, `o` the resolved operand slots.
@@ -222,12 +225,16 @@ class SourceEmitter {
         av("INTDIV");
         line("if (" + I(1) +
              " == 0) c->api->die(c, \"integer division by zero\");");
+        line("if (" + I(1) + " == -1 && " + I(0) + " == " + kInt64Min +
+             ") c->api->die(c, \"integer division overflow\");");
         line(R + ".u.i = " + I(0) + " / " + I(1) + ";");
         break;
       case Op::IRem:
         av("INTDIV");
         line("if (" + I(1) +
              " == 0) c->api->die(c, \"integer remainder by zero\");");
+        line("if (" + I(1) + " == -1 && " + I(0) + " == " + kInt64Min +
+             ") c->api->die(c, \"integer remainder overflow\");");
         line(R + ".u.i = " + I(0) + " % " + I(1) + ";");
         break;
       case Op::IMinOp:

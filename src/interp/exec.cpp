@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 namespace parad::interp {
 
@@ -239,403 +240,397 @@ Executor::Flow Executor::execParallelFor(const ExecProgram& p,
   return Flow::Normal;
 }
 
-/// Executes the region-free arithmetic instruction fused into `in`'s second
-/// slot (superinstruction pairing, see lower.cpp). Each case mirrors the
-/// corresponding main-switch case exactly — same cost advance, same frame
-/// write — so a fused pair is observationally identical to two dispatches.
-static inline void execFused(const ExecInst& in, RtVal* F, psim::WorkerCtx& w,
-                             const psim::CostTable& ct) {
-  const std::int32_t* o = in.a2.data();
-  auto V = [&](std::size_t i) -> RtVal& {
-    return F[static_cast<std::size_t>(o[i])];
-  };
-  auto setF = [&](double v) {
-    F[static_cast<std::size_t>(in.result2)].u.f = v;
-  };
-  auto setI = [&](i64 v) { F[static_cast<std::size_t>(in.result2)].u.i = v; };
-  auto setB = [&](bool v) {
-    F[static_cast<std::size_t>(in.result2)].u.i = v ? 1 : 0;
-  };
-  switch (static_cast<Op>(in.op2)) {
-    case Op::FAdd: w.advance(ct.flop); setF(V(0).u.f + V(1).u.f); break;
-    case Op::FSub: w.advance(ct.flop); setF(V(0).u.f - V(1).u.f); break;
-    case Op::FMul: w.advance(ct.flop); setF(V(0).u.f * V(1).u.f); break;
-    case Op::FDiv: w.advance(ct.fdiv); setF(V(0).u.f / V(1).u.f); break;
-    case Op::FNeg: w.advance(ct.flop); setF(-V(0).u.f); break;
-    case Op::Sqrt: w.advance(ct.special); setF(std::sqrt(V(0).u.f)); break;
-    case Op::Sin: w.advance(ct.special); setF(std::sin(V(0).u.f)); break;
-    case Op::Cos: w.advance(ct.special); setF(std::cos(V(0).u.f)); break;
-    case Op::Exp: w.advance(ct.special); setF(std::exp(V(0).u.f)); break;
-    case Op::Log: w.advance(ct.special); setF(std::log(V(0).u.f)); break;
-    case Op::Cbrt: w.advance(ct.special); setF(std::cbrt(V(0).u.f)); break;
-    case Op::Pow:
-      w.advance(ct.powCost);
-      setF(std::pow(V(0).u.f, V(1).u.f));
-      break;
-    case Op::FAbs: w.advance(ct.minmax); setF(std::fabs(V(0).u.f)); break;
-    case Op::FMin:
-      w.advance(ct.minmax);
-      setF(std::min(V(0).u.f, V(1).u.f));
-      break;
-    case Op::FMax:
-      w.advance(ct.minmax);
-      setF(std::max(V(0).u.f, V(1).u.f));
-      break;
-    case Op::IAdd: w.advance(ct.intOp); setI(V(0).u.i + V(1).u.i); break;
-    case Op::ISub: w.advance(ct.intOp); setI(V(0).u.i - V(1).u.i); break;
-    case Op::IMul: w.advance(ct.intOp); setI(V(0).u.i * V(1).u.i); break;
-    case Op::IDiv:
-      w.advance(ct.intDiv);
-      PARAD_CHECK(V(1).u.i != 0, "integer division by zero");
-      setI(V(0).u.i / V(1).u.i);
-      break;
-    case Op::IRem:
-      w.advance(ct.intDiv);
-      PARAD_CHECK(V(1).u.i != 0, "integer remainder by zero");
-      setI(V(0).u.i % V(1).u.i);
-      break;
-    case Op::IMinOp:
-      w.advance(ct.intOp);
-      setI(std::min(V(0).u.i, V(1).u.i));
-      break;
-    case Op::IMaxOp:
-      w.advance(ct.intOp);
-      setI(std::max(V(0).u.i, V(1).u.i));
-      break;
-    case Op::ICmpEq: w.advance(ct.intOp); setB(V(0).u.i == V(1).u.i); break;
-    case Op::ICmpNe: w.advance(ct.intOp); setB(V(0).u.i != V(1).u.i); break;
-    case Op::ICmpLt: w.advance(ct.intOp); setB(V(0).u.i < V(1).u.i); break;
-    case Op::ICmpLe: w.advance(ct.intOp); setB(V(0).u.i <= V(1).u.i); break;
-    case Op::ICmpGt: w.advance(ct.intOp); setB(V(0).u.i > V(1).u.i); break;
-    case Op::ICmpGe: w.advance(ct.intOp); setB(V(0).u.i >= V(1).u.i); break;
-    case Op::FCmpLt: w.advance(ct.intOp); setB(V(0).u.f < V(1).u.f); break;
-    case Op::FCmpLe: w.advance(ct.intOp); setB(V(0).u.f <= V(1).u.f); break;
-    case Op::FCmpGt: w.advance(ct.intOp); setB(V(0).u.f > V(1).u.f); break;
-    case Op::FCmpGe: w.advance(ct.intOp); setB(V(0).u.f >= V(1).u.f); break;
-    case Op::FCmpEq: w.advance(ct.intOp); setB(V(0).u.f == V(1).u.f); break;
-    case Op::BAnd: w.advance(ct.intOp); setB(V(0).u.i && V(1).u.i); break;
-    case Op::BOr: w.advance(ct.intOp); setB(V(0).u.i || V(1).u.i); break;
-    case Op::BNot: w.advance(ct.intOp); setB(!V(0).u.i); break;
-    case Op::Select:
-      w.advance(ct.intOp);
-      F[static_cast<std::size_t>(in.result2)] = V(0).u.i ? V(1) : V(2);
-      break;
-    case Op::IToF:
-      w.advance(ct.intOp);
-      setF(static_cast<double>(V(0).u.i));
-      break;
-    case Op::FToI:
-      w.advance(ct.intOp);
-      setI(static_cast<i64>(V(0).u.f));
-      break;
-    case Op::PtrOffset: {
-      w.advance(ct.intOp);
-      RtPtr ptr = V(0).u.p;
-      ptr.off += V(1).u.i;
-      F[static_cast<std::size_t>(in.result2)].u.p = ptr;
-      break;
-    }
-    default: PARAD_UNREACHABLE("non-arithmetic op in fused slot");
-  }
+// Every ir::Op in enum order, tagged A when it is region-free frame
+// arithmetic (fusableOp: it has a handler in both dispatch slots) and N
+// otherwise (first slot only). The static_asserts below check the order, the
+// count and the tags, so the dispatch tables built from this list index
+// exactly like the enum.
+#define PARAD_EXEC_OPS(A, N)                                                   \
+  N(ConstF) N(ConstI) N(ConstB)                                                \
+  A(FAdd) A(FSub) A(FMul) A(FDiv) A(FNeg)                                      \
+  A(Sqrt) A(Sin) A(Cos) A(Exp) A(Log) A(Pow) A(FAbs) A(FMin) A(FMax) A(Cbrt)   \
+  A(IAdd) A(ISub) A(IMul) A(IDiv) A(IRem) A(IMinOp) A(IMaxOp)                  \
+  A(ICmpEq) A(ICmpNe) A(ICmpLt) A(ICmpLe) A(ICmpGt) A(ICmpGe)                  \
+  A(FCmpLt) A(FCmpLe) A(FCmpGt) A(FCmpGe) A(FCmpEq)                            \
+  A(BAnd) A(BOr) A(BNot) A(Select) A(IToF) A(FToI)                             \
+  N(Alloc) N(Free) N(Load) N(Store) A(PtrOffset) N(AtomicAddF) N(Memset0)      \
+  N(Call) N(CallIndirect) N(Return)                                            \
+  N(For) N(While) N(Yield) N(If)                                               \
+  N(ParallelFor) N(Fork) N(Workshare) N(BarrierOp) N(ThreadIdOp)               \
+  N(NumThreadsOp) N(Spawn) N(SyncOp)                                           \
+  N(MpRank) N(MpSize) N(MpIsend) N(MpIrecv) N(MpWaitOp) N(MpSend) N(MpRecv)    \
+  N(MpAllreduce) N(MpBarrier)                                                  \
+  N(OmpParallelFor) N(JlAllocArray) N(GcPreserveBegin) N(GcPreserveEnd)
+
+// The semantics of each arithmetic op, written once for both dispatch
+// slots: the psim::CostTable field it charges, then a statement over its
+// operand values A, B, C and its result slot R.
+#define PARAD_ARITH_OPS(X)                                                   \
+  X(FAdd, flop, R.u.f = A.u.f + B.u.f)                                       \
+  X(FSub, flop, R.u.f = A.u.f - B.u.f)                                       \
+  X(FMul, flop, R.u.f = A.u.f * B.u.f)                                       \
+  X(FDiv, fdiv, R.u.f = A.u.f / B.u.f)                                       \
+  X(FNeg, flop, R.u.f = -A.u.f)                                              \
+  X(Sqrt, special, R.u.f = std::sqrt(A.u.f))                                 \
+  X(Sin, special, R.u.f = std::sin(A.u.f))                                   \
+  X(Cos, special, R.u.f = std::cos(A.u.f))                                   \
+  X(Exp, special, R.u.f = std::exp(A.u.f))                                   \
+  X(Log, special, R.u.f = std::log(A.u.f))                                   \
+  X(Pow, powCost, R.u.f = std::pow(A.u.f, B.u.f))                            \
+  X(FAbs, minmax, R.u.f = std::fabs(A.u.f))                                  \
+  X(FMin, minmax, R.u.f = std::min(A.u.f, B.u.f))                            \
+  X(FMax, minmax, R.u.f = std::max(A.u.f, B.u.f))                            \
+  X(Cbrt, special, R.u.f = std::cbrt(A.u.f))                                 \
+  X(IAdd, intOp, R.u.i = A.u.i + B.u.i)                                      \
+  X(ISub, intOp, R.u.i = A.u.i - B.u.i)                                      \
+  X(IMul, intOp, R.u.i = A.u.i * B.u.i)                                      \
+  X(IDiv, intDiv, R.u.i = intDiv(A.u.i, B.u.i))                              \
+  X(IRem, intDiv, R.u.i = intRem(A.u.i, B.u.i))                              \
+  X(IMinOp, intOp, R.u.i = std::min(A.u.i, B.u.i))                           \
+  X(IMaxOp, intOp, R.u.i = std::max(A.u.i, B.u.i))                           \
+  X(ICmpEq, intOp, R.u.i = A.u.i == B.u.i ? 1 : 0)                           \
+  X(ICmpNe, intOp, R.u.i = A.u.i != B.u.i ? 1 : 0)                           \
+  X(ICmpLt, intOp, R.u.i = A.u.i < B.u.i ? 1 : 0)                            \
+  X(ICmpLe, intOp, R.u.i = A.u.i <= B.u.i ? 1 : 0)                           \
+  X(ICmpGt, intOp, R.u.i = A.u.i > B.u.i ? 1 : 0)                            \
+  X(ICmpGe, intOp, R.u.i = A.u.i >= B.u.i ? 1 : 0)                           \
+  X(FCmpLt, intOp, R.u.i = A.u.f < B.u.f ? 1 : 0)                            \
+  X(FCmpLe, intOp, R.u.i = A.u.f <= B.u.f ? 1 : 0)                           \
+  X(FCmpGt, intOp, R.u.i = A.u.f > B.u.f ? 1 : 0)                            \
+  X(FCmpGe, intOp, R.u.i = A.u.f >= B.u.f ? 1 : 0)                           \
+  X(FCmpEq, intOp, R.u.i = A.u.f == B.u.f ? 1 : 0)                           \
+  X(BAnd, intOp, R.u.i = A.u.i && B.u.i ? 1 : 0)                             \
+  X(BOr, intOp, R.u.i = A.u.i || B.u.i ? 1 : 0)                              \
+  X(BNot, intOp, R.u.i = !A.u.i ? 1 : 0)                                     \
+  X(Select, intOp, R = A.u.i ? B : C)                                        \
+  X(IToF, intOp, R.u.f = static_cast<double>(A.u.i))                         \
+  X(FToI, intOp, R.u.i = static_cast<i64>(A.u.f))                            \
+  X(PtrOffset, intOp, { RtPtr q = A.u.p; q.off += B.u.i; R.u.p = q; })
+
+namespace {
+
+constexpr Op kExecOpOrder[] = {
+#define PARAD_OP_VALUE(op) Op::op,
+    PARAD_EXEC_OPS(PARAD_OP_VALUE, PARAD_OP_VALUE)
+#undef PARAD_OP_VALUE
+};
+
+constexpr bool execOpsMatchEnum() {
+  for (int i = 0; i < ir::kNumOps; ++i)
+    if (kExecOpOrder[i] != static_cast<Op>(i)) return false;
+  return true;
 }
+
+constexpr bool execTagsMatchFusable() {
+#define PARAD_TAG_A(op) if (!fusableOp(Op::op)) return false;
+#define PARAD_TAG_N(op) if (fusableOp(Op::op)) return false;
+  PARAD_EXEC_OPS(PARAD_TAG_A, PARAD_TAG_N)
+#undef PARAD_TAG_A
+#undef PARAD_TAG_N
+  return true;
+}
+
+static_assert(std::size(kExecOpOrder) == ir::kNumOps &&
+                  execOpsMatchEnum(),
+              "PARAD_EXEC_OPS must list every ir::Op once, in enum order");
+static_assert(execTagsMatchFusable(),
+              "PARAD_EXEC_OPS must tag exactly the fusableOp ops with A");
+
+}  // namespace
 
 Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
                                    std::int32_t end,
                                    std::int32_t trailingConsts, Frame& f,
                                    RankRun& rr) {
+  // Direct-threaded dispatch (DESIGN.md §9): every handler ends in its own
+  // indirect jump to the next instruction's handler. kFirst serves an
+  // instruction's op, kSecond the arithmetic op fused into its second slot.
+  static const void* const kFirst[] = {
+#define PARAD_FIRST_ADDR(op) &&first_##op,
+      PARAD_EXEC_OPS(PARAD_FIRST_ADDR, PARAD_FIRST_ADDR)
+#undef PARAD_FIRST_ADDR
+  };
+  static const void* const kSecond[] = {
+#define PARAD_SECOND_ADDR(op) &&second_##op,
+#define PARAD_NOT_FUSABLE(op) &&second_not_fusable,
+      PARAD_EXEC_OPS(PARAD_SECOND_ADDR, PARAD_NOT_FUSABLE)
+#undef PARAD_SECOND_ADDR
+#undef PARAD_NOT_FUSABLE
+  };
+  static_assert(std::size(kFirst) == ir::kNumOps,
+                "one first-slot handler per ir::Op");
+  static_assert(std::size(kSecond) == ir::kNumOps,
+                "one second-slot table entry per ir::Op");
+
   psim::MemoryManager& mem = machine_.mem();
   // Both are stable for the duration of this range: every nested construct
   // restores rr.ts before returning, and frames never resize mid-execution.
   psim::WorkerCtx& w = rr.ts->w;
   RtVal* const F = f.data();
-  const ExecInst* const code = p.code.data();
-  // Dispatch count lives in a register for the loop's duration; every exit
-  // path below flushes it (exception paths need not: RunStats is only
-  // updated when a run completes).
+  const ExecInst* in = p.code.data() + pc;
+  const ExecInst* const stop = p.code.data() + end;
+  // Register-resident for the whole range: the worker clock (advanced with
+  // WorkerCtx::advance's expression, clock += ns * dilation) and the dispatch
+  // count. The clock is written back to w.clock before every handler that
+  // calls out (and reloaded after it) and at range exit; the count is added
+  // to rr.insts at range exit only. A hot op that throws skips both: nothing
+  // reads a failing rank's clock or count.
+  const double dil = w.dilation;
+  double clk = w.clock;
   std::uint64_t nd = 0;
-  for (; pc < end; ++pc) {
-    const ExecInst& in = code[pc];
-    nd += 1 + static_cast<std::uint64_t>(in.constsBefore);
-    const std::int32_t* ops =
-        in.poolBase >= 0 ? p.pool.data() + in.poolBase : in.a.data();
-    auto V = [&](std::size_t i) -> RtVal& {
-      return F[static_cast<std::size_t>(ops[i])];
-    };
-    auto setF = [&](double v) {
-      F[static_cast<std::size_t>(in.result)].u.f = v;
-    };
-    auto setI = [&](i64 v) { F[static_cast<std::size_t>(in.result)].u.i = v; };
-    auto setB = [&](bool v) {
-      F[static_cast<std::size_t>(in.result)].u.i = v ? 1 : 0;
-    };
-    auto setP = [&](RtPtr ptr) {
-      F[static_cast<std::size_t>(in.result)].u.p = ptr;
-    };
 
-    switch (in.op) {
-      case Op::ConstF: setF(in.fconst); break;
-      case Op::ConstI: setI(in.iconst); break;
-      case Op::ConstB: setI(in.iconst); break;
+// Operand slot i of an operand array. Every op with at most kInlineOps
+// operands keeps them inline, so only the Call handler reads the spill pool.
+#define PARAD_SLOT(i, a) F[static_cast<std::size_t>((a)[i])]
+#define PARAD_CHARGE(ns) clk += (ns) * dil
+#define PARAD_DISPATCH()                                         \
+  do {                                                           \
+    if (++in == stop) goto range_end;                            \
+    nd += 1 + static_cast<std::uint64_t>(in->constsBefore);      \
+    goto* kFirst[static_cast<int>(in->op)];                      \
+  } while (0)
+// Leaves the range with Flow::Return; w.clock must already be current.
+#define PARAD_RETURN()   \
+  do {                   \
+    rr.insts += nd;      \
+    return Flow::Return; \
+  } while (0)
 
-      case Op::FAdd: w.advance(ct_.flop); setF(V(0).u.f + V(1).u.f); break;
-      case Op::FSub: w.advance(ct_.flop); setF(V(0).u.f - V(1).u.f); break;
-      case Op::FMul: w.advance(ct_.flop); setF(V(0).u.f * V(1).u.f); break;
-      case Op::FDiv: w.advance(ct_.fdiv); setF(V(0).u.f / V(1).u.f); break;
-      case Op::FNeg: w.advance(ct_.flop); setF(-V(0).u.f); break;
-      case Op::Sqrt: w.advance(ct_.special); setF(std::sqrt(V(0).u.f)); break;
-      case Op::Sin: w.advance(ct_.special); setF(std::sin(V(0).u.f)); break;
-      case Op::Cos: w.advance(ct_.special); setF(std::cos(V(0).u.f)); break;
-      case Op::Exp: w.advance(ct_.special); setF(std::exp(V(0).u.f)); break;
-      case Op::Log: w.advance(ct_.special); setF(std::log(V(0).u.f)); break;
-      case Op::Cbrt: w.advance(ct_.special); setF(std::cbrt(V(0).u.f)); break;
-      case Op::Pow:
-        w.advance(ct_.powCost);
-        setF(std::pow(V(0).u.f, V(1).u.f));
-        break;
-      case Op::FAbs: w.advance(ct_.minmax); setF(std::fabs(V(0).u.f)); break;
-      case Op::FMin:
-        w.advance(ct_.minmax);
-        setF(std::min(V(0).u.f, V(1).u.f));
-        break;
-      case Op::FMax:
-        w.advance(ct_.minmax);
-        setF(std::max(V(0).u.f, V(1).u.f));
-        break;
+  if (in == stop) goto range_end;
+  nd += 1 + static_cast<std::uint64_t>(in->constsBefore);
+  goto* kFirst[static_cast<int>(in->op)];
 
-      case Op::IAdd: w.advance(ct_.intOp); setI(V(0).u.i + V(1).u.i); break;
-      case Op::ISub: w.advance(ct_.intOp); setI(V(0).u.i - V(1).u.i); break;
-      case Op::IMul: w.advance(ct_.intOp); setI(V(0).u.i * V(1).u.i); break;
-      case Op::IDiv:
-        w.advance(ct_.intDiv);
-        PARAD_CHECK(V(1).u.i != 0, "integer division by zero");
-        setI(V(0).u.i / V(1).u.i);
-        break;
-      case Op::IRem:
-        w.advance(ct_.intDiv);
-        PARAD_CHECK(V(1).u.i != 0, "integer remainder by zero");
-        setI(V(0).u.i % V(1).u.i);
-        break;
-      case Op::IMinOp:
-        w.advance(ct_.intOp);
-        setI(std::min(V(0).u.i, V(1).u.i));
-        break;
-      case Op::IMaxOp:
-        w.advance(ct_.intOp);
-        setI(std::max(V(0).u.i, V(1).u.i));
-        break;
-
-      case Op::ICmpEq: w.advance(ct_.intOp); setB(V(0).u.i == V(1).u.i); break;
-      case Op::ICmpNe: w.advance(ct_.intOp); setB(V(0).u.i != V(1).u.i); break;
-      case Op::ICmpLt: w.advance(ct_.intOp); setB(V(0).u.i < V(1).u.i); break;
-      case Op::ICmpLe: w.advance(ct_.intOp); setB(V(0).u.i <= V(1).u.i); break;
-      case Op::ICmpGt: w.advance(ct_.intOp); setB(V(0).u.i > V(1).u.i); break;
-      case Op::ICmpGe: w.advance(ct_.intOp); setB(V(0).u.i >= V(1).u.i); break;
-      case Op::FCmpLt: w.advance(ct_.intOp); setB(V(0).u.f < V(1).u.f); break;
-      case Op::FCmpLe: w.advance(ct_.intOp); setB(V(0).u.f <= V(1).u.f); break;
-      case Op::FCmpGt: w.advance(ct_.intOp); setB(V(0).u.f > V(1).u.f); break;
-      case Op::FCmpGe: w.advance(ct_.intOp); setB(V(0).u.f >= V(1).u.f); break;
-      case Op::FCmpEq: w.advance(ct_.intOp); setB(V(0).u.f == V(1).u.f); break;
-
-      case Op::BAnd: w.advance(ct_.intOp); setB(V(0).u.i && V(1).u.i); break;
-      case Op::BOr: w.advance(ct_.intOp); setB(V(0).u.i || V(1).u.i); break;
-      case Op::BNot: w.advance(ct_.intOp); setB(!V(0).u.i); break;
-      case Op::Select:
-        w.advance(ct_.intOp);
-        F[static_cast<std::size_t>(in.result)] = V(0).u.i ? V(1) : V(2);
-        break;
-      case Op::IToF:
-        w.advance(ct_.intOp);
-        setF(static_cast<double>(V(0).u.i));
-        break;
-      case Op::FToI:
-        w.advance(ct_.intOp);
-        setI(static_cast<i64>(V(0).u.f));
-        break;
-
-      case Op::Load: {
-        // Single object lookup: the at*() accessors would re-run get() and
-        // the element-type check the switch below already establishes.
-        RtPtr ptr = V(0).u.p;
-        psim::MemObject& o = mem.get(ptr);
-        machine_.chargeMem(w, o.homeSocket, 8);
-        i64 k = ptr.off + V(1).u.i;
-        PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
-                    " of ", o.count);
-        switch (o.elem) {
-          case Type::F64: setF(o.f[static_cast<std::size_t>(k)]); break;
-          case Type::I64: setI(o.i[static_cast<std::size_t>(k)]); break;
-          case Type::PtrF64: setP(o.p[static_cast<std::size_t>(k)]); break;
-          default: PARAD_UNREACHABLE("bad load elem");
-        }
-        break;
-      }
-      case Op::Store: {
-        RtPtr ptr = V(0).u.p;
-        psim::MemObject& o = mem.get(ptr);
-        machine_.chargeMem(w, o.homeSocket, 8);
-        i64 k = ptr.off + V(1).u.i;
-        PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
-                    " of ", o.count);
-        switch (o.elem) {
-          case Type::F64: o.f[static_cast<std::size_t>(k)] = V(2).u.f; break;
-          case Type::I64: o.i[static_cast<std::size_t>(k)] = V(2).u.i; break;
-          case Type::PtrF64: o.p[static_cast<std::size_t>(k)] = V(2).u.p; break;
-          default: PARAD_UNREACHABLE("bad store elem");
-        }
-        break;
-      }
-      case Op::PtrOffset: {
-        w.advance(ct_.intOp);
-        RtPtr ptr = V(0).u.p;
-        ptr.off += V(1).u.i;
-        setP(ptr);
-        break;
-      }
-      case Op::Call: {
-        if (in.trap >= 0) fail(xm_.trapMsgs[static_cast<std::size_t>(in.trap)]);
-        const ExecProgram& callee =
-            xm_.programs[static_cast<std::size_t>(in.callee)];
-        RtVal argBuf[ExecInst::kInlineOps];
-        const RtVal* argPtr;
-        std::vector<RtVal> argVec;
-        if (in.nOps <= ExecInst::kInlineOps) {
-          for (std::size_t i = 0; i < in.nOps; ++i) argBuf[i] = V(i);
-          argPtr = argBuf;
-        } else {
-          argVec.reserve(in.nOps);
-          for (std::size_t i = 0; i < in.nOps; ++i) argVec.push_back(V(i));
-          argPtr = argVec.data();
-        }
-        RtVal out = callProgram(callee, argPtr, in.nOps, rr);
-        if (in.result >= 0) F[static_cast<std::size_t>(in.result)] = out;
-        break;
-      }
-      case Op::CallIndirect:
-        fail(xm_.trapMsgs[static_cast<std::size_t>(in.trap)]);
-      case Op::Return:
-        if (in.nOps > 0) rr.retVal = V(0);
-        rr.insts += nd;
-        return Flow::Return;
-
-      case Op::For: {
-        i64 lo = V(0).u.i, hi = V(1).u.i;
-        const ExecBlock& body = p.blocks[static_cast<std::size_t>(in.blockA)];
-        for (i64 i = lo; i < hi; ++i) {
-          F[static_cast<std::size_t>(body.arg)] = RtVal::I(i);
-          w.advance(ct_.loopIter);
-          if (execRange(p, body.begin, body.end, body.trailingConsts, f,
-                        rr) == Flow::Return)
-            {
-            rr.insts += nd;
-            return Flow::Return;
-          }
-        }
-        break;
-      }
-      case Op::While: {
-        const ExecBlock& body = p.blocks[static_cast<std::size_t>(in.blockA)];
-        for (i64 iter = 0;; ++iter) {
-          PARAD_CHECK(iter < (i64(1) << 32), "runaway while loop");
-          F[static_cast<std::size_t>(body.arg)] = RtVal::I(iter);
-          w.advance(ct_.loopIter);
-          rr.yield = false;
-          if (execRange(p, body.begin, body.end, body.trailingConsts, f,
-                        rr) == Flow::Return)
-            {
-            rr.insts += nd;
-            return Flow::Return;
-          }
-          if (!rr.yield) break;
-        }
-        break;
-      }
-      case Op::Yield:
-        rr.yield = V(0).u.i != 0;
-        break;
-      case Op::If: {
-        w.advance(ct_.intOp);
-        if (execBlock(p, V(0).u.i ? in.blockA : in.blockB, f, rr) ==
-            Flow::Return) {
-          rr.insts += nd;
-          return Flow::Return;
-        }
-        break;
-      }
-
-      case Op::Workshare: {
-        i64 lo = V(0).u.i, hi = V(1).u.i;
-        const ExecBlock& body = p.blocks[static_cast<std::size_t>(in.blockA)];
-        int tid = rr.ts->tid, n = rr.ts->nthreads;
-        w.advance(ct_.workshareInit);
-        i64 len = hi - lo;
-        if (len <= 0) break;
-        i64 chunk = (len + n - 1) / n;
-        i64 begin = lo + tid * chunk;
-        i64 wsEnd = std::min(hi, begin + chunk);
-        bool reversed = in.iconst != 0;
-        for (i64 k = begin; k < wsEnd; ++k) {
-          i64 i = reversed ? wsEnd - 1 - (k - begin) : k;
-          F[static_cast<std::size_t>(body.arg)] = RtVal::I(i);
-          w.advance(ct_.loopIter);
-          Flow fl =
-              execRange(p, body.begin, body.end, body.trailingConsts, f, rr);
-          PARAD_CHECK(fl == Flow::Normal, "return out of a workshare body");
-        }
-        break;
-      }
-      case Op::BarrierOp:
-        // Handled structurally by the fork's precompiled segmentation.
-        PARAD_UNREACHABLE("barrier outside fork segmentation");
-      case Op::ThreadIdOp: setI(rr.ts->tid); break;
-      case Op::NumThreadsOp:
-        // Inside a fork: the team size. Outside: the default team size (used
-        // e.g. to size thread-indexed AD caches before entering the fork).
-        setI(rr.ts->nthreads > 1 ? rr.ts->nthreads : rr.env->threadsPerRank);
-        break;
-
-      case Op::MpRank: setI(rr.env->rank); break;
-      case Op::MpSize: setI(rr.env->ranks); break;
-
-      case Op::OmpParallelFor:
-        fail(xm_.trapMsgs[static_cast<std::size_t>(in.trap)]);
-
-      // Machine-state instructions: one implementation shared with the
-      // codegen backend's complex-op callback (see exec.h).
-      case Op::Alloc:
-      case Op::Free:
-      case Op::AtomicAddF:
-      case Op::Memset0:
-      case Op::Spawn:
-      case Op::SyncOp:
-      case Op::MpIsend:
-      case Op::MpIrecv:
-      case Op::MpWaitOp:
-      case Op::MpSend:
-      case Op::MpRecv:
-      case Op::MpAllreduce:
-      case Op::MpBarrier:
-      case Op::JlAllocArray:
-      case Op::ParallelFor:
-      case Op::Fork:
-        if (execComplexInst(p, in, f, rr) == Flow::Return) {
-          rr.insts += nd;
-          return Flow::Return;
-        }
-        break;
-
-      case Op::GcPreserveBegin:
-        w.advance(ct_.gcCost);
-        setI(0);
-        break;
-      case Op::GcPreserveEnd:
-        w.advance(ct_.gcCost);
-        break;
-    }
-    if (in.op2 >= 0) {
-      nd += 1 + static_cast<std::uint64_t>(in.consts2);
-      execFused(in, F, w, ct_);
-    }
+  // Arithmetic: one handler per op per slot, both expanded from
+  // PARAD_ARITH_OPS. A first-slot handler continues into the fused op, if
+  // any, before dispatching the next instruction.
+#define PARAD_ARITH_HANDLER(label, ops, res, cost, stmt)                 \
+  label : {                                                              \
+    PARAD_CHARGE(ct_.cost);                                              \
+    [[maybe_unused]] const RtVal& A = PARAD_SLOT(0, ops);                \
+    [[maybe_unused]] const RtVal& B = PARAD_SLOT(1, ops);                \
+    [[maybe_unused]] const RtVal& C = PARAD_SLOT(2, ops);                \
+    RtVal& R = F[static_cast<std::size_t>(res)];                         \
+    stmt;                                                                \
   }
+#define PARAD_FIRST_ARITH(op, cost, stmt)                                \
+  PARAD_ARITH_HANDLER(first_##op, in->a, in->result, cost, stmt)         \
+  if (in->op2 >= 0) {                                                    \
+    nd += 1 + static_cast<std::uint64_t>(in->consts2);                   \
+    goto* kSecond[in->op2];                                              \
+  }                                                                      \
+  PARAD_DISPATCH();
+#define PARAD_SECOND_ARITH(op, cost, stmt)                               \
+  PARAD_ARITH_HANDLER(second_##op, in->a2, in->result2, cost, stmt)      \
+  PARAD_DISPATCH();
+
+  PARAD_ARITH_OPS(PARAD_FIRST_ARITH)
+  PARAD_ARITH_OPS(PARAD_SECOND_ARITH)
+#undef PARAD_FIRST_ARITH
+#undef PARAD_SECOND_ARITH
+#undef PARAD_ARITH_HANDLER
+
+second_not_fusable:
+  PARAD_UNREACHABLE("non-arithmetic op in fused slot");
+
+first_ConstF:
+  F[static_cast<std::size_t>(in->result)].u.f = in->fconst;
+  PARAD_DISPATCH();
+first_ConstI:
+first_ConstB:
+  F[static_cast<std::size_t>(in->result)].u.i = in->iconst;
+  PARAD_DISPATCH();
+
+first_Load: {
+  // Single object lookup: the at*() accessors would re-run get() and the
+  // element-type check the switch below already establishes.
+  RtPtr ptr = PARAD_SLOT(0, in->a).u.p;
+  psim::MemObject& o = mem.get(ptr);
+  PARAD_CHARGE(machine_.memCharge8(w, o.homeSocket));
+  i64 k = ptr.off + PARAD_SLOT(1, in->a).u.i;
+  PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
+              " of ", o.count);
+  RtVal& r = F[static_cast<std::size_t>(in->result)];
+  switch (o.elem) {
+    case Type::F64: r.u.f = o.f[static_cast<std::size_t>(k)]; break;
+    case Type::I64: r.u.i = o.i[static_cast<std::size_t>(k)]; break;
+    case Type::PtrF64: r.u.p = o.p[static_cast<std::size_t>(k)]; break;
+    default: PARAD_UNREACHABLE("bad load elem");
+  }
+}
+  PARAD_DISPATCH();
+first_Store: {
+  RtPtr ptr = PARAD_SLOT(0, in->a).u.p;
+  psim::MemObject& o = mem.get(ptr);
+  PARAD_CHARGE(machine_.memCharge8(w, o.homeSocket));
+  i64 k = ptr.off + PARAD_SLOT(1, in->a).u.i;
+  PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
+              " of ", o.count);
+  const RtVal& v = PARAD_SLOT(2, in->a);
+  switch (o.elem) {
+    case Type::F64: o.f[static_cast<std::size_t>(k)] = v.u.f; break;
+    case Type::I64: o.i[static_cast<std::size_t>(k)] = v.u.i; break;
+    case Type::PtrF64: o.p[static_cast<std::size_t>(k)] = v.u.p; break;
+    default: PARAD_UNREACHABLE("bad store elem");
+  }
+}
+  PARAD_DISPATCH();
+
+first_Call: {
+  // Written back before the arguments are gathered, not just before the
+  // call: with the write-back after the argument vector's allocation, GCC 12
+  // kept the clock in a stack slot in every handler.
+  w.clock = clk;
+  if (in->trap >= 0) fail(xm_.trapMsgs[static_cast<std::size_t>(in->trap)]);
+  const ExecProgram& callee =
+      xm_.programs[static_cast<std::size_t>(in->callee)];
+  const std::int32_t* ops =
+      in->poolBase >= 0 ? p.pool.data() + in->poolBase : in->a.data();
+  RtVal argBuf[ExecInst::kInlineOps];
+  const RtVal* argPtr;
+  std::vector<RtVal> argVec;
+  if (in->nOps <= ExecInst::kInlineOps) {
+    for (std::size_t i = 0; i < in->nOps; ++i) argBuf[i] = PARAD_SLOT(i, ops);
+    argPtr = argBuf;
+  } else {
+    argVec.reserve(in->nOps);
+    for (std::size_t i = 0; i < in->nOps; ++i)
+      argVec.push_back(PARAD_SLOT(i, ops));
+    argPtr = argVec.data();
+  }
+  RtVal out = callProgram(callee, argPtr, in->nOps, rr);
+  clk = w.clock;
+  if (in->result >= 0) F[static_cast<std::size_t>(in->result)] = out;
+}
+  PARAD_DISPATCH();
+first_CallIndirect:
+first_OmpParallelFor:
+  w.clock = clk;
+  fail(xm_.trapMsgs[static_cast<std::size_t>(in->trap)]);
+first_Return:
+  if (in->nOps > 0) rr.retVal = PARAD_SLOT(0, in->a);
+  w.clock = clk;
+  PARAD_RETURN();
+
+first_For: {
+  i64 lo = PARAD_SLOT(0, in->a).u.i, hi = PARAD_SLOT(1, in->a).u.i;
+  const ExecBlock& body = p.blocks[static_cast<std::size_t>(in->blockA)];
+  w.clock = clk;
+  for (i64 i = lo; i < hi; ++i) {
+    F[static_cast<std::size_t>(body.arg)] = RtVal::I(i);
+    w.advance(ct_.loopIter);
+    if (execRange(p, body.begin, body.end, body.trailingConsts, f, rr) ==
+        Flow::Return)
+      PARAD_RETURN();
+  }
+  clk = w.clock;
+}
+  PARAD_DISPATCH();
+first_While: {
+  const ExecBlock& body = p.blocks[static_cast<std::size_t>(in->blockA)];
+  w.clock = clk;
+  for (i64 iter = 0;; ++iter) {
+    PARAD_CHECK(iter < (i64(1) << 32), "runaway while loop");
+    F[static_cast<std::size_t>(body.arg)] = RtVal::I(iter);
+    w.advance(ct_.loopIter);
+    rr.yield = false;
+    if (execRange(p, body.begin, body.end, body.trailingConsts, f, rr) ==
+        Flow::Return)
+      PARAD_RETURN();
+    if (!rr.yield) break;
+  }
+  clk = w.clock;
+}
+  PARAD_DISPATCH();
+first_Yield:
+  rr.yield = PARAD_SLOT(0, in->a).u.i != 0;
+  PARAD_DISPATCH();
+first_If: {
+  PARAD_CHARGE(ct_.intOp);
+  w.clock = clk;
+  if (execBlock(p, PARAD_SLOT(0, in->a).u.i ? in->blockA : in->blockB, f,
+                rr) == Flow::Return)
+    PARAD_RETURN();
+  clk = w.clock;
+}
+  PARAD_DISPATCH();
+
+first_Workshare: {
+  i64 lo = PARAD_SLOT(0, in->a).u.i, hi = PARAD_SLOT(1, in->a).u.i;
+  const ExecBlock& body = p.blocks[static_cast<std::size_t>(in->blockA)];
+  int tid = rr.ts->tid, n = rr.ts->nthreads;
+  PARAD_CHARGE(ct_.workshareInit);
+  i64 len = hi - lo;
+  if (len > 0) {
+    i64 chunk = (len + n - 1) / n;
+    i64 begin = lo + tid * chunk;
+    i64 wsEnd = std::min(hi, begin + chunk);
+    bool reversed = in->iconst != 0;
+    w.clock = clk;
+    for (i64 k = begin; k < wsEnd; ++k) {
+      i64 i = reversed ? wsEnd - 1 - (k - begin) : k;
+      F[static_cast<std::size_t>(body.arg)] = RtVal::I(i);
+      w.advance(ct_.loopIter);
+      Flow fl =
+          execRange(p, body.begin, body.end, body.trailingConsts, f, rr);
+      PARAD_CHECK(fl == Flow::Normal, "return out of a workshare body");
+    }
+    clk = w.clock;
+  }
+}
+  PARAD_DISPATCH();
+first_BarrierOp:
+  // Handled structurally by the fork's precompiled segmentation.
+  PARAD_UNREACHABLE("barrier outside fork segmentation");
+first_ThreadIdOp:
+  F[static_cast<std::size_t>(in->result)].u.i = rr.ts->tid;
+  PARAD_DISPATCH();
+first_NumThreadsOp:
+  // Inside a fork: the team size. Outside: the default team size (used e.g.
+  // to size thread-indexed AD caches before entering the fork).
+  F[static_cast<std::size_t>(in->result)].u.i =
+      rr.ts->nthreads > 1 ? rr.ts->nthreads : rr.env->threadsPerRank;
+  PARAD_DISPATCH();
+first_MpRank:
+  F[static_cast<std::size_t>(in->result)].u.i = rr.env->rank;
+  PARAD_DISPATCH();
+first_MpSize:
+  F[static_cast<std::size_t>(in->result)].u.i = rr.env->ranks;
+  PARAD_DISPATCH();
+
+  // Machine-state instructions: one implementation shared with the codegen
+  // backend's complex-op callback (see exec.h).
+first_Alloc:
+first_Free:
+first_AtomicAddF:
+first_Memset0:
+first_Spawn:
+first_SyncOp:
+first_MpIsend:
+first_MpIrecv:
+first_MpWaitOp:
+first_MpSend:
+first_MpRecv:
+first_MpAllreduce:
+first_MpBarrier:
+first_JlAllocArray:
+first_ParallelFor:
+first_Fork: {
+  w.clock = clk;
+  if (execComplexInst(p, *in, f, rr) == Flow::Return) PARAD_RETURN();
+  clk = w.clock;
+}
+  PARAD_DISPATCH();
+
+first_GcPreserveBegin:
+  PARAD_CHARGE(ct_.gcCost);
+  F[static_cast<std::size_t>(in->result)].u.i = 0;
+  PARAD_DISPATCH();
+first_GcPreserveEnd:
+  PARAD_CHARGE(ct_.gcCost);
+  PARAD_DISPATCH();
+
+range_end:
+  w.clock = clk;
   rr.insts += nd + static_cast<std::uint64_t>(trailingConsts);
   // Kill probe, gated to the rank's root thread: fork paths adjust worker
   // counts non-RAII, so unwinding a crash from inside a parallel region
@@ -646,13 +641,23 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
   // checking at the flush bounds runaway (live-locked) rank programs without
   // a per-instruction branch. The time bound comes from the machine (config
   // plus checkpoint-recovery slack), not the raw config.
-  std::uint64_t wd = machine_.config().watchdogInsts;
-  if (wd != 0 && rr.insts > wd)
-    machine_.failWatchdog(rr.env->rank, rr.insts, w.clock);
-  double tb = machine_.watchdogTimeBound();
-  if (tb > 0 && w.clock > tb) machine_.failWatchdogTime(rr.env->rank, w.clock);
+  {
+    std::uint64_t wd = machine_.config().watchdogInsts;
+    if (wd != 0 && rr.insts > wd)
+      machine_.failWatchdog(rr.env->rank, rr.insts, w.clock);
+    double tb = machine_.watchdogTimeBound();
+    if (tb > 0 && w.clock > tb)
+      machine_.failWatchdogTime(rr.env->rank, w.clock);
+  }
   return Flow::Normal;
 }
+
+#undef PARAD_SLOT
+#undef PARAD_CHARGE
+#undef PARAD_DISPATCH
+#undef PARAD_RETURN
+#undef PARAD_EXEC_OPS
+#undef PARAD_ARITH_OPS
 
 Executor::Flow Executor::execComplexInst(const ExecProgram& p,
                                          const ExecInst& in, Frame& f,
@@ -760,7 +765,8 @@ Executor::Flow Executor::execComplexInst(const ExecProgram& p,
       RtPtr ptr = V(0).u.p;
       i64 count = V(1).u.i;
       psim::MemObject& o = mem.get(ptr);
-      PARAD_CHECK(o.elem == Type::F64 && ptr.off + count <= o.count,
+      PARAD_CHECK(o.elem == Type::F64 && ptr.off >= 0 &&
+                      ptr.off + count <= o.count,
                   "isend buffer out of bounds");
       psim::ReqId id = machine_.fabric()->isend(
           rr.env->rank, w, o.f.data() + ptr.off, count,
@@ -784,7 +790,8 @@ Executor::Flow Executor::execComplexInst(const ExecProgram& p,
       RtPtr ptr = V(0).u.p;
       i64 count = V(1).u.i;
       psim::MemObject& o = mem.get(ptr);
-      PARAD_CHECK(o.elem == Type::F64 && ptr.off + count <= o.count,
+      PARAD_CHECK(o.elem == Type::F64 && ptr.off >= 0 &&
+                      ptr.off + count <= o.count,
                   "send buffer out of bounds");
       machine_.fabric()->send(rr.env->rank, w, o.f.data() + ptr.off, count,
                               static_cast<int>(V(2).u.i),
@@ -800,7 +807,8 @@ Executor::Flow Executor::execComplexInst(const ExecProgram& p,
       RtPtr sp = V(0).u.p;
       i64 count = V(2).u.i;
       psim::MemObject& so = mem.get(sp);
-      PARAD_CHECK(so.elem == Type::F64 && sp.off + count <= so.count,
+      PARAD_CHECK(so.elem == Type::F64 && sp.off >= 0 && count >= 0 &&
+                      sp.off + count <= so.count,
                   "allreduce send buffer out of bounds");
       std::vector<i64> winners;
       machine_.fabric()->allreduce(

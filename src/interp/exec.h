@@ -83,7 +83,7 @@ class Executor {
 
   /// Executes one machine-state instruction (alloc/free/atomics/memset,
   /// spawn/sync, message passing, fork, parallel for, boxed allocs) — the
-  /// single implementation both the dispatch loop's switch and the codegen
+  /// single implementation both the dispatch loop and the codegen
   /// backend's complex-op callback funnel through, so every backend charges
   /// and mutates machine state identically. Does NOT touch rr.insts: the
   /// caller owns dispatch counting.

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,6 +50,22 @@ struct RtVal {
   static RtVal I(i64 v) { RtVal x; x.u.i = v; return x; }
   static RtVal P(psim::RtPtr v) { RtVal x; x.u.p = v; return x; }
 };
+
+/// The IR's idiv and irem: C++ division, except that the two inputs C++
+/// leaves undefined (and x86 turns into SIGFPE) throw parad::Error instead:
+/// a zero divisor, and INT64_MIN by -1, whose quotient does not fit.
+inline i64 intDiv(i64 a, i64 b) {
+  PARAD_CHECK(b != 0, "integer division by zero");
+  PARAD_CHECK(b != -1 || a != std::numeric_limits<i64>::min(),
+              "integer division overflow");
+  return a / b;
+}
+inline i64 intRem(i64 a, i64 b) {
+  PARAD_CHECK(b != 0, "integer remainder by zero");
+  PARAD_CHECK(b != -1 || a != std::numeric_limits<i64>::min(),
+              "integer remainder overflow");
+  return a % b;
+}
 
 /// Process-wide default engine, by canonical name. Initialized from the
 /// PARAD_ENGINE env knob on first use ("exec" when unset); an unknown value

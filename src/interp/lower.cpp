@@ -68,31 +68,6 @@ void collectDefined(const ir::Inst& in, std::vector<std::int32_t>& out) {
   }
 }
 
-// Ops eligible for superinstruction pairing: region-free frame arithmetic
-// whose execution touches only the frame and the worker clock (no memory
-// manager, no scheduler state, no thread identity). Two adjacent fusable
-// instructions share one dispatch-loop iteration in the executor; every op
-// listed here has a mirrored case in exec.cpp's execFused.
-bool fusableOp(Op op) {
-  switch (op) {
-    case Op::FAdd: case Op::FSub: case Op::FMul: case Op::FDiv:
-    case Op::FNeg: case Op::Sqrt: case Op::Sin: case Op::Cos:
-    case Op::Exp: case Op::Log: case Op::Cbrt: case Op::Pow:
-    case Op::FAbs: case Op::FMin: case Op::FMax:
-    case Op::IAdd: case Op::ISub: case Op::IMul: case Op::IDiv:
-    case Op::IRem: case Op::IMinOp: case Op::IMaxOp:
-    case Op::ICmpEq: case Op::ICmpNe: case Op::ICmpLt: case Op::ICmpLe:
-    case Op::ICmpGt: case Op::ICmpGe:
-    case Op::FCmpLt: case Op::FCmpLe: case Op::FCmpGt: case Op::FCmpGe:
-    case Op::FCmpEq:
-    case Op::BAnd: case Op::BOr: case Op::BNot: case Op::Select:
-    case Op::IToF: case Op::FToI: case Op::PtrOffset:
-      return true;
-    default:
-      return false;
-  }
-}
-
 class Lowerer {
  public:
   Lowerer(const ir::Module& mod, ExecModule& xm) : mod_(mod), xm_(xm) {}

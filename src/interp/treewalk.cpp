@@ -291,16 +291,8 @@ TreeWalker::Flow TreeWalker::execInst(const ir::Function& fn,
     case Op::IAdd: w.advance(c.intOp); setI(V(0).u.i + V(1).u.i); return Flow::Normal;
     case Op::ISub: w.advance(c.intOp); setI(V(0).u.i - V(1).u.i); return Flow::Normal;
     case Op::IMul: w.advance(c.intOp); setI(V(0).u.i * V(1).u.i); return Flow::Normal;
-    case Op::IDiv:
-      w.advance(c.intOp * 4);
-      PARAD_CHECK(V(1).u.i != 0, "integer division by zero");
-      setI(V(0).u.i / V(1).u.i);
-      return Flow::Normal;
-    case Op::IRem:
-      w.advance(c.intOp * 4);
-      PARAD_CHECK(V(1).u.i != 0, "integer remainder by zero");
-      setI(V(0).u.i % V(1).u.i);
-      return Flow::Normal;
+    case Op::IDiv: w.advance(c.intOp * 4); setI(intDiv(V(0).u.i, V(1).u.i)); return Flow::Normal;
+    case Op::IRem: w.advance(c.intOp * 4); setI(intRem(V(0).u.i, V(1).u.i)); return Flow::Normal;
     case Op::IMinOp: w.advance(c.intOp); setI(std::min(V(0).u.i, V(1).u.i)); return Flow::Normal;
     case Op::IMaxOp: w.advance(c.intOp); setI(std::max(V(0).u.i, V(1).u.i)); return Flow::Normal;
 
@@ -515,7 +507,8 @@ TreeWalker::Flow TreeWalker::execInst(const ir::Function& fn,
       RtPtr p = V(0).u.p;
       i64 count = V(1).u.i;
       psim::MemObject& o = mem.get(p);
-      PARAD_CHECK(o.elem == Type::F64 && p.off + count <= o.count,
+      PARAD_CHECK(o.elem == Type::F64 && p.off >= 0 &&
+                      p.off + count <= o.count,
                   "isend buffer out of bounds");
       psim::ReqId id = machine_.fabric()->isend(
           rr.env->rank, w, o.f.data() + p.off, count,
@@ -539,7 +532,8 @@ TreeWalker::Flow TreeWalker::execInst(const ir::Function& fn,
       RtPtr p = V(0).u.p;
       i64 count = V(1).u.i;
       psim::MemObject& o = mem.get(p);
-      PARAD_CHECK(o.elem == Type::F64 && p.off + count <= o.count,
+      PARAD_CHECK(o.elem == Type::F64 && p.off >= 0 &&
+                      p.off + count <= o.count,
                   "send buffer out of bounds");
       machine_.fabric()->send(rr.env->rank, w, o.f.data() + p.off, count,
                               static_cast<int>(V(2).u.i),
@@ -555,7 +549,8 @@ TreeWalker::Flow TreeWalker::execInst(const ir::Function& fn,
       RtPtr sp = V(0).u.p;
       i64 count = V(2).u.i;
       psim::MemObject& so = mem.get(sp);
-      PARAD_CHECK(so.elem == Type::F64 && sp.off + count <= so.count,
+      PARAD_CHECK(so.elem == Type::F64 && sp.off >= 0 && count >= 0 &&
+                      sp.off + count <= so.count,
                   "allreduce send buffer out of bounds");
       std::vector<i64> winners;
       machine_.fabric()->allreduce(

@@ -77,6 +77,11 @@ enum class Op : unsigned char {
   GcPreserveEnd,    // (token)
 };
 
+/// Number of opcodes; it names the last enumerator, so an opcode added after
+/// GcPreserveEnd must update it. Tables indexed by Op (the traits table, the
+/// exec engine's two dispatch tables) static_assert their size against it.
+inline constexpr int kNumOps = static_cast<int>(Op::GcPreserveEnd) + 1;
+
 enum class ReduceKind : unsigned char { Sum, Min, Max };
 
 /// Kinds of clauses attachable to an OmpParallelFor.

@@ -1,5 +1,7 @@
 #include "src/ir/inst.h"
 
+#include <iterator>
+
 namespace parad::ir {
 
 const OpTraits& traits(Op op) {
@@ -38,6 +40,7 @@ const OpTraits& traits(Op op) {
       {"jl.alloc.array", 0, true}, {"gc.preserve.begin", 0, true},
       {"gc.preserve.end", 0, false},
   };
+  static_assert(std::size(table) == kNumOps, "one traits row per ir::Op");
   return table[static_cast<int>(op)];
 }
 

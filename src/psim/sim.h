@@ -189,10 +189,7 @@ class Machine {
   /// edits take effect.
   void chargeMem(WorkerCtx& w, int homeSocket, i64 bytes) {
     if (bytes == 8) {
-      MemCharge& mc = memCharge_[static_cast<std::size_t>(homeSocket)];
-      int sharers = workersOn(homeSocket);
-      if (mc.sharers != sharers) foldMemCharge(mc, sharers);
-      w.advance(w.socket == homeSocket ? mc.local8 : mc.remote8);
+      w.advance(memCharge8(w, homeSocket));
       return;
     }
     const CostModel& c = cfg_.cost;
@@ -202,6 +199,14 @@ class Machine {
     double perWorker = c.socketBandwidth / (sharers > 0 ? sharers : 1);
     double bw = perWorker < c.coreBandwidth ? perWorker : c.coreBandwidth;
     w.advance(lat + static_cast<double>(bytes) / bw);
+  }
+  /// The undilated charge of one 8-byte access by `w` (chargeMem's 8-byte
+  /// path without the advance), for callers that keep the clock in a local.
+  double memCharge8(const WorkerCtx& w, int homeSocket) {
+    MemCharge& mc = memCharge_[static_cast<std::size_t>(homeSocket)];
+    int sharers = workersOn(homeSocket);
+    if (mc.sharers != sharers) foldMemCharge(mc, sharers);
+    return w.socket == homeSocket ? mc.local8 : mc.remote8;
   }
   /// Atomic read-modify-write contention: each ownership *transition* of a
   /// cache line between cores pays a line transfer; a line that alternates

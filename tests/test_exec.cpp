@@ -7,7 +7,10 @@
 // interpreter constants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "src/interp/exec.h"
 #include "src/interp/lower.h"
@@ -298,6 +301,325 @@ TEST(ExecDiff, GradientOfParallelKernelAgrees) {
   };
   Outcome o = expectEnginesAgree(mod, gi.name, gradArgs, 1, 8, 40);
   for (double g : o.buf) EXPECT_TRUE(std::isfinite(g));
+}
+
+// ---------------------------------------------------------------------------
+// Every arithmetic handler of the exec engine: each fusable op unfused, as
+// the first op of a fused pair and as the second, on edge inputs, bit for
+// bit against the tree-walker.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Row k of the input table pairs edge k / kEdges of each list with edge
+// k % kEdges, so the binary ops see every ordered pair.
+constexpr int kEdges = 10;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr i64 kI64Min = std::numeric_limits<i64>::min();
+constexpr i64 kI64Max = std::numeric_limits<i64>::max();
+const double kFloatEdges[kEdges] = {
+    std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0, kInf, -kInf,
+    std::numeric_limits<double>::denorm_min(), -2.5e-310, 1.5, -3.25, 1e300};
+// Finite and inside the i64 range: ftoi of anything else is undefined.
+const double kTruncEdges[kEdges] = {
+    -0.0, std::numeric_limits<double>::denorm_min(), 0.999, -0.999, 2.5,
+    -2.5, 123456789.75, 1e15, -1e18, 9.2e18};
+// Any sum, difference or product of two fits in an i64 (3037000499 is
+// floor(sqrt(2^63))).
+const i64 kSmallInts[kEdges] = {0,          1,          -1,          7,
+                                -13,        65536,      -123457,     2147483647,
+                                3037000499, -3037000499};
+// Full-range values for the ops that cannot overflow on them.
+const i64 kBigInts[kEdges] = {kI64Min,
+                              kI64Max,
+                              kI64Min + 1,
+                              (i64(1) << 53) + 1,
+                              -(i64(1) << 53) - 1,
+                              0,
+                              1,
+                              -1,
+                              i64(1) << 62,
+                              -7};
+
+enum class Slot { Unfused, First, Second };
+
+}  // namespace
+
+TEST(ExecDiff, EveryArithmeticOpInEverySlot) {
+  using ir::Op;
+  constexpr i64 kRows = kEdges * kEdges;
+  ir::Module mod;
+  ir::FunctionBuilder b(
+      mod, "arith",
+      {Type::PtrF64, Type::PtrF64, Type::PtrF64, Type::PtrI64, Type::PtrI64,
+       Type::PtrI64, Type::PtrI64, Type::PtrI64, Type::PtrF64, Type::PtrI64,
+       Type::PtrF64, Type::PtrI64, Type::I64, Type::I64});
+  auto outF = b.param(10), outI = b.param(11);
+  auto widthF = b.param(12), widthI = b.param(13);
+  std::vector<Op> tested;
+  i64 nF = 0, nI = 0;  // output columns per row
+  b.emitFor(b.constI(0), b.constI(kRows), [&](ir::Value k) {
+    auto ld = [&](int param) { return b.load(b.param(param), k); };
+    auto fa = ld(0), fb = ld(1), ft = ld(2), sa = ld(3), sb = ld(4),
+         ga = ld(5), gb = ld(6), gd = ld(7), po = ld(9);
+    auto c1 = b.ilt(sa, b.constI(0)), c2 = b.ilt(sb, b.constI(0));
+    auto base = b.ptrOffset(b.param(8), b.constI(5));
+    auto rowF = b.ptrOffset(outF, b.imul(k, widthF));
+    auto rowI = b.ptrOffset(outI, b.imul(k, widthI));
+    struct Case {
+      Op op;
+      std::vector<ir::Value> args;
+      Type result;
+    };
+    const std::vector<Case> cases = {
+        {Op::FAdd, {fa, fb}, Type::F64},    {Op::FSub, {fa, fb}, Type::F64},
+        {Op::FMul, {fa, fb}, Type::F64},    {Op::FDiv, {fa, fb}, Type::F64},
+        {Op::FNeg, {fa}, Type::F64},        {Op::Sqrt, {fa}, Type::F64},
+        {Op::Sin, {fa}, Type::F64},         {Op::Cos, {fa}, Type::F64},
+        {Op::Exp, {fa}, Type::F64},         {Op::Log, {fa}, Type::F64},
+        {Op::Pow, {fa, fb}, Type::F64},     {Op::FAbs, {fa}, Type::F64},
+        {Op::FMin, {fa, fb}, Type::F64},    {Op::FMax, {fa, fb}, Type::F64},
+        {Op::Cbrt, {fa}, Type::F64},        {Op::IAdd, {sa, sb}, Type::I64},
+        {Op::ISub, {sa, sb}, Type::I64},    {Op::IMul, {sa, sb}, Type::I64},
+        {Op::IDiv, {ga, gd}, Type::I64},    {Op::IRem, {ga, gd}, Type::I64},
+        {Op::IMinOp, {ga, gb}, Type::I64},  {Op::IMaxOp, {ga, gb}, Type::I64},
+        {Op::ICmpEq, {ga, gb}, Type::I1},   {Op::ICmpNe, {ga, gb}, Type::I1},
+        {Op::ICmpLt, {ga, gb}, Type::I1},   {Op::ICmpLe, {ga, gb}, Type::I1},
+        {Op::ICmpGt, {ga, gb}, Type::I1},   {Op::ICmpGe, {ga, gb}, Type::I1},
+        {Op::FCmpLt, {fa, fb}, Type::I1},   {Op::FCmpLe, {fa, fb}, Type::I1},
+        {Op::FCmpGt, {fa, fb}, Type::I1},   {Op::FCmpGe, {fa, fb}, Type::I1},
+        {Op::FCmpEq, {fa, fb}, Type::I1},   {Op::BAnd, {c1, c2}, Type::I1},
+        {Op::BOr, {c1, c2}, Type::I1},      {Op::BNot, {c1}, Type::I1},
+        {Op::Select, {c1, fa, fb}, Type::F64},
+        {Op::IToF, {ga}, Type::F64},        {Op::FToI, {ft}, Type::I64},
+        {Op::PtrOffset, {base, po}, Type::PtrF64},
+    };
+    // Each block starts after a non-fusable instruction (a load or a
+    // store), and a load ends the op's pair, so the op lands in exactly the
+    // slot asked for; the partner is an iadd.
+    b.load(b.param(0), k);
+    i64 colF = 0, colI = 0;
+    for (const Case& c : cases) {
+      tested.push_back(c.op);
+      for (Slot slot : {Slot::Unfused, Slot::First, Slot::Second}) {
+        if (slot == Slot::Second) b.iadd(k, k);
+        ir::Value r = b.emitCloned(ir::Inst(c.op), c.args, c.result);
+        if (slot == Slot::First) b.iadd(k, k);
+        b.load(b.param(0), k);
+        if (c.result == Type::F64) {
+          b.store(rowF, b.constI(colF++), r);
+        } else if (c.result == Type::PtrF64) {
+          b.store(rowF, b.constI(colF++), b.load(r, b.constI(0)));
+        } else if (c.result == Type::I64) {
+          b.store(rowI, b.constI(colI++), r);
+        } else {
+          b.store(rowI, b.constI(colI++),
+                  b.select(r, b.constI(1), b.constI(0)));
+        }
+      }
+    }
+    nF = colF;
+    nI = colI;
+  });
+  b.finish();
+  ir::verify(mod);
+  // The table covers exactly the ops the lowerer pairs.
+  std::sort(tested.begin(), tested.end());
+  std::vector<Op> fusable;
+  for (int i = 0; i < ir::kNumOps; ++i)
+    if (interp::fusableOp(static_cast<Op>(i)))
+      fusable.push_back(static_cast<Op>(i));
+  ASSERT_EQ(tested, fusable);
+  ASSERT_EQ(fusable.size(), 40u);
+
+  // Each op occurs in each of the three slots of the lowered code.
+  auto xm = interp::lower(mod, mod.get("arith"));
+  const interp::ExecProgram& prog = xm->programs[0];
+  auto has = [&](Op op, int op2) {
+    for (const interp::ExecInst& in : prog.code)
+      if (in.op == op && in.op2 == op2) return true;
+    return false;
+  };
+  const int iadd = static_cast<int>(Op::IAdd);
+  for (Op op : fusable) {
+    SCOPED_TRACE(ir::traits(op).name);
+    EXPECT_TRUE(has(op, -1)) << "unfused";
+    EXPECT_TRUE(has(op, iadd)) << "first of a pair";
+    EXPECT_TRUE(has(Op::IAdd, static_cast<int>(op))) << "second of a pair";
+  }
+
+  struct Run {
+    double makespan = 0;
+    std::uint64_t insts = 0;
+    std::vector<std::uint64_t> bitsF;
+    std::vector<i64> valsI;
+  };
+  auto runOn = [&](const char* engine) {
+    psim::Machine m;
+    auto f64s = [&](auto pick) {
+      std::vector<double> v(kRows);
+      for (i64 k = 0; k < kRows; ++k)
+        v[static_cast<std::size_t>(k)] = pick(k / kEdges, k % kEdges);
+      return makeF64(m, v);
+    };
+    auto i64s = [&](auto pick) {
+      psim::RtPtr p = m.mem().alloc(Type::I64, kRows, 0);
+      for (i64 k = 0; k < kRows; ++k)
+        m.mem().atI(p, k) = pick(k / kEdges, k % kEdges);
+      return p;
+    };
+    std::vector<double> table(11);
+    for (std::size_t t = 0; t < table.size(); ++t) table[t] = 0.5 + t;
+    psim::RtPtr outFp = m.mem().alloc(Type::F64, kRows * nF, 0);
+    psim::RtPtr outIp = m.mem().alloc(Type::I64, kRows * nI, 0);
+    std::vector<interp::RtVal> args = {
+        interp::RtVal::P(f64s([](i64 i, i64) { return kFloatEdges[i]; })),
+        interp::RtVal::P(f64s([](i64, i64 j) { return kFloatEdges[j]; })),
+        interp::RtVal::P(f64s([](i64, i64 j) { return kTruncEdges[j]; })),
+        interp::RtVal::P(i64s([](i64 i, i64) { return kSmallInts[i]; })),
+        interp::RtVal::P(i64s([](i64, i64 j) { return kSmallInts[j]; })),
+        interp::RtVal::P(i64s([](i64 i, i64) { return kBigInts[i]; })),
+        interp::RtVal::P(i64s([](i64, i64 j) { return kBigInts[j]; })),
+        // Divisors: every edge but the two that trap (zero, and -1 under
+        // INT64_MIN; see IntegerDivisionOverflowTraps).
+        interp::RtVal::P(i64s([](i64 i, i64 j) {
+          i64 d = kBigInts[j];
+          return d == 0 || (d == -1 && kBigInts[i] == kI64Min) ? i64(3) : d;
+        })),
+        interp::RtVal::P(makeF64(m, table)),
+        interp::RtVal::P(i64s([](i64 i, i64 j) { return (i + j) % 11 - 5; })),
+        interp::RtVal::P(outFp),
+        interp::RtVal::P(outIp),
+        interp::RtVal::I(nF),
+        interp::RtVal::I(nI)};
+    Run r;
+    r.makespan = m.run({1, 1}, [&](psim::RankEnv& env) {
+      interp::Interpreter it(mod, m, engine);
+      it.run(mod.get("arith"), args, env);
+    });
+    r.insts = m.stats().instsExecuted;
+    for (i64 k = 0; k < kRows * nF; ++k) {
+      double v = m.mem().atF(outFp, k);
+      std::uint64_t bits;
+      std::memcpy(&bits, &v, sizeof bits);
+      r.bitsF.push_back(bits);
+    }
+    for (i64 k = 0; k < kRows * nI; ++k)
+      r.valsI.push_back(m.mem().atI(outIp, k));
+    return r;
+  };
+  const Run tree = runOn("tree");
+  for (const char* eng : {"exec", "codegen"}) {
+    SCOPED_TRACE(eng);
+    const Run o = runOn(eng);
+    EXPECT_EQ(o.makespan, tree.makespan);
+    EXPECT_EQ(o.insts, tree.insts);
+    ASSERT_EQ(o.bitsF.size(), tree.bitsF.size());
+    for (std::size_t k = 0; k < tree.bitsF.size(); ++k)
+      ASSERT_EQ(o.bitsF[k], tree.bitsF[k])
+          << "f64 output " << k % nF << " of row " << k / nF;
+    ASSERT_EQ(o.valsI, tree.valsI);
+  }
+}
+
+TEST(ExecDiff, IntegerDivisionOverflowTraps) {
+  // INT64_MIN / -1 does not fit in an i64, and x86 raises SIGFPE for both
+  // the quotient and the remainder; every engine must throw instead, from
+  // the unfused handler and from both slots of a fused pair.
+  for (ir::Op op : {ir::Op::IDiv, ir::Op::IRem}) {
+    for (Slot slot : {Slot::Unfused, Slot::First, Slot::Second}) {
+      ir::Module mod;
+      ir::FunctionBuilder b(mod, "div", {Type::I64, Type::I64}, Type::I64);
+      auto a = b.param(0), d = b.param(1);
+      if (slot == Slot::Second) b.isub(d, d);
+      auto q = b.emitCloned(ir::Inst(op), {a, d}, Type::I64);
+      if (slot == Slot::First) b.isub(d, d);
+      b.ret(q);
+      b.finish();
+      ir::verify(mod);
+      const std::string want = op == ir::Op::IDiv
+                                   ? "integer division overflow"
+                                   : "integer remainder overflow";
+      for (const char* e : kEngines) {
+        SCOPED_TRACE(std::string(e) + " " + ir::traits(op).name + " slot " +
+                     std::to_string(static_cast<int>(slot)));
+        psim::Machine ok;
+        interp::RtVal out{};
+        ok.run({1, 1}, [&](psim::RankEnv& env) {
+          interp::Interpreter it(mod, ok, e);
+          out = it.run(mod.get("div"),
+                       {interp::RtVal::I(kI64Min), interp::RtVal::I(-2)}, env);
+        });
+        EXPECT_EQ(out.u.i, op == ir::Op::IDiv ? kI64Min / -2 : 0);
+        psim::Machine m;
+        try {
+          m.run({1, 1}, [&](psim::RankEnv& env) {
+            interp::Interpreter it(mod, m, e);
+            it.run(mod.get("div"),
+                   {interp::RtVal::I(kI64Min), interp::RtVal::I(-1)}, env);
+          });
+          FAIL() << "expected " << want;
+        } catch (const parad::Error& ex) {
+          EXPECT_NE(std::string(ex.what()).find(want), std::string::npos)
+              << ex.what();
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecDiff, MessageSendsRejectOutOfBoundsBuffers) {
+  // A send buffer that starts before its object (or an allreduce with a
+  // negative count) must fail the bounds check, not copy from before the
+  // object's storage.
+  enum class Kind { Isend, Send, Allreduce, AllreduceNegativeCount };
+  for (Kind kind : {Kind::Isend, Kind::Send, Kind::Allreduce,
+                    Kind::AllreduceNegativeCount}) {
+    ir::Module mod;
+    ir::FunctionBuilder b(mod, "mp", {}, Type::F64);
+    auto buf = b.alloc(b.constI(4), Type::F64);
+    auto recv = b.alloc(b.constI(4), Type::F64);
+    auto before = b.ptrOffset(buf, b.constI(-2));
+    auto one = b.constI(1), tag = b.constI(7);
+    auto isRoot = b.ieq(b.mpRank(), b.constI(0));
+    switch (kind) {
+      case Kind::Isend:
+        b.emitIf(
+            isRoot, [&] { b.mpWait(b.mpIsend(before, one, one, tag)); },
+            [&] { b.mpRecv(recv, one, b.constI(0), tag); });
+        break;
+      case Kind::Send:
+        b.emitIf(
+            isRoot, [&] { b.mpSend(before, one, one, tag); },
+            [&] { b.mpRecv(recv, one, b.constI(0), tag); });
+        break;
+      case Kind::Allreduce:
+        b.mpAllreduce(before, recv, one, ir::ReduceKind::Sum);
+        break;
+      case Kind::AllreduceNegativeCount:
+        b.mpAllreduce(buf, recv, b.constI(-1), ir::ReduceKind::Sum);
+        break;
+    }
+    b.ret(b.load(recv, b.constI(0)));
+    b.finish();
+    ir::verify(mod);
+    for (const char* e : kEngines) {
+      SCOPED_TRACE(std::string(e) + " case " +
+                   std::to_string(static_cast<int>(kind)));
+      psim::Machine m;
+      try {
+        m.run({2, 1}, [&](psim::RankEnv& env) {
+          interp::Interpreter it(mod, m, e);
+          it.run(mod.get("mp"), {}, env);
+        });
+        FAIL() << "expected an out-of-bounds send buffer to be rejected";
+      } catch (const parad::Error& ex) {
+        EXPECT_NE(std::string(ex.what()).find("out of bounds"),
+                  std::string::npos)
+            << ex.what();
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
