@@ -18,6 +18,7 @@ namespace parad::core {
 using analysis::FnInfo;
 using analysis::PtrClass;
 using ir::Op;
+using ir::OpEffect;
 using ir::Type;
 
 namespace {
@@ -113,56 +114,46 @@ AccumKind GradPlan::ssaSlotKind(int v, const ir::Inst* par) const {
   return jt->second.fallback;
 }
 
+bool reEmittableOp(Op op) {
+  OpEffect e = ir::traits(op).effect;
+  return e == OpEffect::Const || e == OpEffect::Pure ||
+         e == OpEffect::PureTrap || e == OpEffect::EnvRead;
+}
+
 bool isReEmittable(const FnInfo& info, const ir::Inst* d) {
   if (!d) return false;
-  switch (d->op) {
-    case Op::ConstF: case Op::ConstI: case Op::ConstB:
-    case Op::FAdd: case Op::FSub: case Op::FMul: case Op::FDiv: case Op::FNeg:
-    case Op::Sqrt: case Op::Sin: case Op::Cos: case Op::Exp: case Op::Log:
-    case Op::Pow: case Op::FAbs: case Op::FMin: case Op::FMax: case Op::Cbrt:
-    case Op::IAdd: case Op::ISub: case Op::IMul: case Op::IDiv: case Op::IRem:
-    case Op::IMinOp: case Op::IMaxOp:
-    case Op::ICmpEq: case Op::ICmpNe: case Op::ICmpLt: case Op::ICmpLe:
-    case Op::ICmpGt: case Op::ICmpGe:
-    case Op::FCmpLt: case Op::FCmpLe: case Op::FCmpGt: case Op::FCmpGe:
-    case Op::FCmpEq:
-    case Op::BAnd: case Op::BOr: case Op::BNot:
-    case Op::Select: case Op::IToF: case Op::FToI: case Op::PtrOffset:
-    case Op::ThreadIdOp: case Op::NumThreadsOp:
-    case Op::MpRank: case Op::MpSize:
-      return true;
-    case Op::Load:
-      // A load may be replayed in the reverse pass iff nothing may have
-      // overwritten the location (its class is never written).
-      return !info.classWritten(info.ptrClass(d->operands[0]));
-    default:
-      return false;
-  }
+  if (reEmittableOp(d->op)) return true;
+  // A load may be replayed in the reverse pass iff nothing may have
+  // overwritten the location (its class is never written).
+  return d->op == Op::Load &&
+         !info.classWritten(info.ptrClass(d->operands[0]));
+}
+
+bool topMaterializableOp(Op op) {
+  const ir::OpTraits& t = ir::traits(op);
+  // NumThreadsOp equals the default team size; sound for default-sized
+  // forks (the only forks our frontends emit). See DESIGN.md known
+  // deviations.
+  if (t.effect == OpEffect::Const || op == Op::NumThreadsOp ||
+      op == Op::Select)
+    return true;
+  // Integer index arithmetic: i64 operands, an i64 or i1 result.
+  if (!t.typed ||
+      (t.effect != OpEffect::Pure && t.effect != OpEffect::PureTrap))
+    return false;
+  for (int i = 0; i < t.numOperands(); ++i)
+    if (t.operands[i] != Type::I64) return false;
+  return t.result == Type::I64 || t.result == Type::I1;
 }
 
 bool isTopMaterializable(const FnInfo& info, int v) {
   if (info.depth(v) == 0) return true;
   const ir::Inst* d = info.defInst(v);
   if (!d) return false;  // region argument
-  switch (d->op) {
-    case Op::ConstI:
-    case Op::ConstF:
-    case Op::ConstB:
-      return true;
-    case Op::NumThreadsOp:
-      // Equals the default team size; sound for default-sized forks (the
-      // only forks our frontends emit). See DESIGN.md known deviations.
-      return true;
-    case Op::IAdd: case Op::ISub: case Op::IMul: case Op::IDiv:
-    case Op::IRem: case Op::IMinOp: case Op::IMaxOp: case Op::Select:
-    case Op::ICmpEq: case Op::ICmpNe: case Op::ICmpLt: case Op::ICmpLe:
-    case Op::ICmpGt: case Op::ICmpGe:
-      for (int o : d->operands)
-        if (!isTopMaterializable(info, o)) return false;
-      return true;
-    default:
-      return false;
-  }
+  if (!topMaterializableOp(d->op)) return false;
+  for (int o : d->operands)
+    if (!isTopMaterializable(info, o)) return false;
+  return true;
 }
 
 namespace {

@@ -217,13 +217,18 @@ GradPlan planGradient(const ir::Module& mod, const std::string& fnName,
                       const GradConfig& cfg, RemarkStream* remarks = nullptr);
 
 /// True if the value defined by `d` may be re-emitted in the reverse pass
-/// instead of cached: pure re-emittable ops, or loads from a location class
-/// that is never written.
+/// instead of cached: an op for which reEmittableOp holds (constants, pure
+/// and trapping-pure arithmetic, thread and rank identity), or a load from
+/// a location class that is never written.
 bool isReEmittable(const analysis::FnInfo& info, const ir::Inst* d);
+bool reEmittableOp(ir::Op op);
 
 /// True if value v can be re-materialized at function scope (cache dim
-/// bounds). NumThreads is assumed to equal the default team size — sound
-/// for default-sized forks, the only kind our frontends emit (DESIGN.md).
+/// bounds): it is defined there, or by a topMaterializableOp (constants,
+/// integer index arithmetic, select, num.threads) whose operands are.
+/// NumThreads is assumed to equal the default team size — sound for
+/// default-sized forks, the only kind our frontends emit (DESIGN.md).
 bool isTopMaterializable(const analysis::FnInfo& info, int v);
+bool topMaterializableOp(ir::Op op);
 
 }  // namespace parad::core

@@ -211,6 +211,71 @@ TapeInterpreter::Flow TapeInterpreter::execRegion(const ir::Function& fn,
   return Flow::Normal;
 }
 
+void TapeInterpreter::execArith(const ir::Inst& in, Frame& f,
+                                psim::WorkerCtx& w) {
+  static const TapedVal kNoOperand{};
+  auto V = [&](std::size_t i) -> const TapedVal& {
+    return i < in.operands.size() ? f[static_cast<std::size_t>(in.operands[i])]
+                                  : kNoOperand;
+  };
+  TapedVal& out = f[static_cast<std::size_t>(in.result)];
+  // The value, from the op's ops.def row.
+  switch (in.op) {
+#define PARAD_OP(...)
+#define PARAD_ARITH(Id, name, effect, cost, sig, ...)                  \
+    case Op::Id: {                                                     \
+      w.advance(ct_.cost);                                             \
+      [[maybe_unused]] const RtVal& A = V(0).v;                        \
+      [[maybe_unused]] const RtVal& B = V(1).v;                        \
+      [[maybe_unused]] const RtVal& C = V(2).v;                        \
+      RtVal& R = out.v;                                                \
+      __VA_ARGS__;                                                     \
+      break;                                                           \
+    }
+#include "src/ir/ops.def"
+    default: PARAD_UNREACHABLE("non-arithmetic op in execArith");
+  }
+  // The tape: an f64 result depending on an active operand gets a fresh
+  // index and a statement holding its partials. Select forwards the index
+  // of the arm it picked; other non-f64 results are inactive.
+  auto tape = [&](double pa, double pb) {
+    std::int32_t ia = V(0).idx, ib = V(1).idx;
+    out.idx = -1;
+    if (ia < 0 && ib < 0) return;
+    out.idx = fresh();
+    if (ia >= 0 && ib >= 0)
+      record2(out.idx, ia, pa, ib, pb, w);
+    else if (ia >= 0)
+      record1(out.idx, ia, pa, w);
+    else
+      record1(out.idx, ib, pb, w);
+  };
+  double a = V(0).v.u.f, b = V(1).v.u.f, r = out.v.u.f;
+  switch (in.op) {
+    case Op::FAdd: tape(1, 1); break;
+    case Op::FSub: tape(1, -1); break;
+    case Op::FMul: tape(b, a); break;
+    case Op::FDiv: tape(1.0 / b, -r / b); break;
+    case Op::FNeg: tape(-1, 0); break;
+    case Op::Sqrt: tape(0.5 / r, 0); break;
+    case Op::Sin: tape(std::cos(a), 0); break;
+    case Op::Cos: tape(-std::sin(a), 0); break;
+    case Op::Exp: tape(r, 0); break;
+    case Op::Log: tape(1.0 / a, 0); break;
+    case Op::Cbrt: tape(1.0 / (3 * r * r), 0); break;
+    case Op::Pow:
+      tape(b * std::pow(a, b - 1), a > 0 ? r * std::log(a) : 0);
+      break;
+    case Op::FAbs: tape(a < 0 ? -1 : 1, 0); break;
+    // The partial goes to the operand std::min / std::max return.
+    case Op::FMin: tape(!(b < a) ? 1 : 0, !(b < a) ? 0 : 1); break;
+    case Op::FMax: tape(!(a < b) ? 1 : 0, !(a < b) ? 0 : 1); break;
+    case Op::Select: out.idx = V(0).v.u.i ? V(1).idx : V(2).idx; break;
+    case Op::IToF: out.idx = -1; break;
+    default: break;
+  }
+}
+
 TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
                                                 const ir::Inst& in, Frame& f,
                                                 psim::RankEnv& env,
@@ -223,128 +288,14 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
   auto out = [&]() -> TapedVal& {
     return f[static_cast<std::size_t>(in.result)];
   };
-  // Unary/binary recorded f64 op helpers.
-  auto un = [&](double value, double partial, double cost) {
-    w.advance(cost);
-    TapedVal& o = out();
-    o.v.u.f = value;
-    o.idx = -1;
-    if (V(0).idx >= 0) {
-      o.idx = fresh();
-      record1(o.idx, V(0).idx, partial, w);
-    }
-  };
-  auto bin = [&](double value, double pa, double pb, double cost) {
-    w.advance(cost);
-    TapedVal& o = out();
-    o.v.u.f = value;
-    o.idx = -1;
-    std::int32_t ia = V(0).idx, ib = V(1).idx;
-    if (ia >= 0 || ib >= 0) {
-      o.idx = fresh();
-      if (ia >= 0 && ib >= 0)
-        record2(o.idx, ia, pa, ib, pb, w);
-      else if (ia >= 0)
-        record1(o.idx, ia, pa, w);
-      else
-        record1(o.idx, ib, pb, w);
-    }
-  };
+  if (ir::traits(in.op).arith) {
+    execArith(in, f, w);
+    return Flow::Normal;
+  }
 
   switch (in.op) {
     case Op::ConstF: out().v.u.f = in.fconst; out().idx = -1; return Flow::Normal;
     case Op::ConstI: case Op::ConstB: out().v.u.i = in.iconst; return Flow::Normal;
-
-    case Op::FAdd: bin(V(0).v.u.f + V(1).v.u.f, 1, 1, c.flop); return Flow::Normal;
-    case Op::FSub: bin(V(0).v.u.f - V(1).v.u.f, 1, -1, c.flop); return Flow::Normal;
-    case Op::FMul: bin(V(0).v.u.f * V(1).v.u.f, V(1).v.u.f, V(0).v.u.f, c.flop); return Flow::Normal;
-    case Op::FDiv: {
-      double a = V(0).v.u.f, b = V(1).v.u.f, r = a / b;
-      bin(r, 1.0 / b, -r / b, c.flop * 4);
-      return Flow::Normal;
-    }
-    case Op::FNeg: un(-V(0).v.u.f, -1, c.flop); return Flow::Normal;
-    case Op::Sqrt: {
-      double r = std::sqrt(V(0).v.u.f);
-      un(r, 0.5 / r, c.special);
-      return Flow::Normal;
-    }
-    case Op::Sin: un(std::sin(V(0).v.u.f), std::cos(V(0).v.u.f), c.special); return Flow::Normal;
-    case Op::Cos: un(std::cos(V(0).v.u.f), -std::sin(V(0).v.u.f), c.special); return Flow::Normal;
-    case Op::Exp: {
-      double r = std::exp(V(0).v.u.f);
-      un(r, r, c.special);
-      return Flow::Normal;
-    }
-    case Op::Log: un(std::log(V(0).v.u.f), 1.0 / V(0).v.u.f, c.special); return Flow::Normal;
-    case Op::Cbrt: {
-      double x = V(0).v.u.f, r = std::cbrt(x);
-      un(r, 1.0 / (3 * r * r), c.special);
-      return Flow::Normal;
-    }
-    case Op::Pow: {
-      double a = V(0).v.u.f, b = V(1).v.u.f, r = std::pow(a, b);
-      bin(r, b * std::pow(a, b - 1), a > 0 ? r * std::log(a) : 0, c.powCost);
-      return Flow::Normal;
-    }
-    case Op::FAbs:
-      un(std::fabs(V(0).v.u.f), V(0).v.u.f < 0 ? -1 : 1, c.minmax);
-      return Flow::Normal;
-    case Op::FMin: {
-      bool takeA = V(0).v.u.f <= V(1).v.u.f;
-      bin(takeA ? V(0).v.u.f : V(1).v.u.f, takeA ? 1 : 0, takeA ? 0 : 1,
-          c.minmax);
-      return Flow::Normal;
-    }
-    case Op::FMax: {
-      bool takeA = V(0).v.u.f >= V(1).v.u.f;
-      bin(takeA ? V(0).v.u.f : V(1).v.u.f, takeA ? 1 : 0, takeA ? 0 : 1,
-          c.minmax);
-      return Flow::Normal;
-    }
-
-    case Op::IAdd: w.advance(c.intOp); out().v.u.i = V(0).v.u.i + V(1).v.u.i; return Flow::Normal;
-    case Op::ISub: w.advance(c.intOp); out().v.u.i = V(0).v.u.i - V(1).v.u.i; return Flow::Normal;
-    case Op::IMul: w.advance(c.intOp); out().v.u.i = V(0).v.u.i * V(1).v.u.i; return Flow::Normal;
-    case Op::IDiv:
-      w.advance(c.intOp * 4);
-      PARAD_CHECK(V(1).v.u.i != 0, "division by zero");
-      out().v.u.i = V(0).v.u.i / V(1).v.u.i;
-      return Flow::Normal;
-    case Op::IRem:
-      w.advance(c.intOp * 4);
-      PARAD_CHECK(V(1).v.u.i != 0, "remainder by zero");
-      out().v.u.i = V(0).v.u.i % V(1).v.u.i;
-      return Flow::Normal;
-    case Op::IMinOp: w.advance(c.intOp); out().v.u.i = std::min(V(0).v.u.i, V(1).v.u.i); return Flow::Normal;
-    case Op::IMaxOp: w.advance(c.intOp); out().v.u.i = std::max(V(0).v.u.i, V(1).v.u.i); return Flow::Normal;
-    case Op::ICmpEq: w.advance(c.intOp); out().v.u.i = V(0).v.u.i == V(1).v.u.i; return Flow::Normal;
-    case Op::ICmpNe: w.advance(c.intOp); out().v.u.i = V(0).v.u.i != V(1).v.u.i; return Flow::Normal;
-    case Op::ICmpLt: w.advance(c.intOp); out().v.u.i = V(0).v.u.i < V(1).v.u.i; return Flow::Normal;
-    case Op::ICmpLe: w.advance(c.intOp); out().v.u.i = V(0).v.u.i <= V(1).v.u.i; return Flow::Normal;
-    case Op::ICmpGt: w.advance(c.intOp); out().v.u.i = V(0).v.u.i > V(1).v.u.i; return Flow::Normal;
-    case Op::ICmpGe: w.advance(c.intOp); out().v.u.i = V(0).v.u.i >= V(1).v.u.i; return Flow::Normal;
-    case Op::FCmpLt: w.advance(c.intOp); out().v.u.i = V(0).v.u.f < V(1).v.u.f; return Flow::Normal;
-    case Op::FCmpLe: w.advance(c.intOp); out().v.u.i = V(0).v.u.f <= V(1).v.u.f; return Flow::Normal;
-    case Op::FCmpGt: w.advance(c.intOp); out().v.u.i = V(0).v.u.f > V(1).v.u.f; return Flow::Normal;
-    case Op::FCmpGe: w.advance(c.intOp); out().v.u.i = V(0).v.u.f >= V(1).v.u.f; return Flow::Normal;
-    case Op::FCmpEq: w.advance(c.intOp); out().v.u.i = V(0).v.u.f == V(1).v.u.f; return Flow::Normal;
-    case Op::BAnd: w.advance(c.intOp); out().v.u.i = V(0).v.u.i && V(1).v.u.i; return Flow::Normal;
-    case Op::BOr: w.advance(c.intOp); out().v.u.i = V(0).v.u.i || V(1).v.u.i; return Flow::Normal;
-    case Op::BNot: w.advance(c.intOp); out().v.u.i = !V(0).v.u.i; return Flow::Normal;
-    case Op::Select:
-      w.advance(c.intOp);
-      out() = V(0).v.u.i ? V(1) : V(2);
-      return Flow::Normal;
-    case Op::IToF:
-      w.advance(c.intOp);
-      out().v.u.f = static_cast<double>(V(0).v.u.i);
-      out().idx = -1;
-      return Flow::Normal;
-    case Op::FToI:
-      w.advance(c.intOp);
-      out().v.u.i = static_cast<i64>(V(0).v.u.f);
-      return Flow::Normal;
 
     case Op::Alloc: {
       i64 count = V(0).v.u.i;
@@ -390,13 +341,6 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
         case Type::PtrF64: mem.atP(p, idx) = V(2).v.u.p; break;
         default: PARAD_UNREACHABLE("bad store elem");
       }
-      return Flow::Normal;
-    }
-    case Op::PtrOffset: {
-      w.advance(c.intOp);
-      RtPtr p = V(0).v.u.p;
-      p.off += V(1).v.u.i;
-      out().v.u.p = p;
       return Flow::Normal;
     }
     case Op::Memset0: {

@@ -44,7 +44,8 @@ class TapeInterpreter {
  public:
   TapeInterpreter(const ir::Module& mod, psim::Machine& machine,
                   TapeConfig cfg = {})
-      : mod_(mod), machine_(machine), cfg_(cfg) {}
+      : mod_(mod), machine_(machine), cfg_(cfg),
+        ct_(machine.config().cost) {}
 
   /// Runs the forward (taping) sweep of `fn` and then the reverse sweep for
   /// this rank. `inputs` are registered before the run (their shadows
@@ -86,6 +87,8 @@ class TapeInterpreter {
                   psim::RankEnv& env, psim::WorkerCtx& w);
   Flow execInst(const ir::Function& fn, const ir::Inst& in, Frame& f,
                 psim::RankEnv& env, psim::WorkerCtx& w);
+  // An ops.def arithmetic row's value, then its tape record.
+  void execArith(const ir::Inst& in, Frame& f, psim::WorkerCtx& w);
   // Reverse sweep.
   void reverse(psim::RankEnv& env, psim::WorkerCtx& w);
 
@@ -98,6 +101,7 @@ class TapeInterpreter {
   const ir::Module& mod_;
   psim::Machine& machine_;
   TapeConfig cfg_;
+  psim::CostTable ct_;
 
   std::vector<Stmt> stmts_;
   // Statement stream interleaved with communication records: commAt_[k] is

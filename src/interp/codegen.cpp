@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -30,7 +31,7 @@ using ir::Op;
 
 // Bumped whenever the emitter changes what it prints for the same closure:
 // part of the artifact fingerprint, so stale on-disk objects never load.
-constexpr std::uint64_t kGeneratorVersion = 2;
+constexpr std::uint64_t kGeneratorVersion = 3;
 
 // The generated code's structs must alias the host's exactly — every frame,
 // worker and return-value pointer crosses the ABI as a reinterpret_cast.
@@ -52,6 +53,28 @@ static_assert(sizeof(parad_cg_worker) == sizeof(psim::WorkerCtx) &&
               "parad_cg_worker must mirror psim::WorkerCtx");
 
 namespace {
+
+// The psim::CostTable fields generated code reads, in PARAD_CG_CT_* order:
+// each run copies them into parad_cg_ctx::ct, and the emitter charges an
+// ops.def row's cost field by its index name.
+struct CgCost {
+  double psim::CostTable::*field;
+  const char* index;
+};
+constexpr CgCost kCgCosts[] = {
+    {&psim::CostTable::flop, "FLOP"},
+    {&psim::CostTable::fdiv, "FDIV"},
+    {&psim::CostTable::intOp, "INTOP"},
+    {&psim::CostTable::intDiv, "INTDIV"},
+    {&psim::CostTable::special, "SPECIAL"},
+    {&psim::CostTable::powCost, "POW"},
+    {&psim::CostTable::minmax, "MINMAX"},
+    {&psim::CostTable::loopIter, "LOOPITER"},
+    {&psim::CostTable::workshareInit, "WORKSHARE"},
+    {&psim::CostTable::gcCost, "GC"},
+};
+static_assert(std::size(kCgCosts) == PARAD_CG_CT_COUNT,
+              "one cost-table field per PARAD_CG_CT_* index");
 
 // ---------------------------------------------------------------------------
 // Range enumeration, shared between the emitter and the host-side id lookup
@@ -102,14 +125,17 @@ class SourceEmitter {
     out_ += "// parad codegen output (generator v" +
             std::to_string(kGeneratorVersion) + ") for closure @" +
             xm_.programs[0].name + " — do not edit\n";
-    out_ += "#include <cmath>\n#include <cstring>\n";
+    out_ += "#include <cmath>\n#include <cstdint>\n#include <cstring>\n";
     out_ += kCodegenAbiHeader;
     out_ +=
         "\nstatic inline double pd_f64(unsigned long long b) {"
         " double v; std::memcpy(&v, &b, 8); return v; }\n"
         "static inline long long pd_i64(unsigned long long b) {"
         " long long v; std::memcpy(&v, &b, 8); return v; }\n"
-        "#define AV(k) (W->clock += c->ct[k] * W->dilation)\n\n";
+        "#define AV(k) (W->clock += c->ct[k] * W->dilation)\n"
+        "// What the ops.def statements below name.\n"
+        "typedef long long i64;\n"
+        "#define PARAD_OP_TRAP(msg) c->api->die(c, msg)\n\n";
     for (std::size_t id = 0; id < table_.size(); ++id)
       out_ += "static int r" + std::to_string(id) +
               "(parad_cg_ctx*, parad_cg_val*, parad_cg_worker*);\n";
@@ -155,142 +181,36 @@ class SourceEmitter {
     out_ += idx;
     out_ += ");\n";
   }
+  static const char* costIndex(double psim::CostTable::*field) {
+    for (const CgCost& k : kCgCosts)
+      if (k.field == field) return k.index;
+    fail("codegen: cost field missing from the generated cost table");
+  }
   // Flushes the range's partial dispatch count and propagates Return —
   // exactly `rr.insts += nd; return Flow::Return;` in the exec loop.
   static constexpr const char* kPropagate = "{ *c->insts += nd; return 1; }";
-  // INT64_MIN as a C expression (the literal 9223372036854775808 does not
-  // fit a signed long long, so it cannot be negated directly).
-  static constexpr const char* kInt64Min = "(-9223372036854775807ll - 1)";
 
-  /// Emits a pure frame-only op (the fusable-superinstruction set plus a few
-  /// more). `res` is the result slot, `o` the resolved operand slots.
-  /// Returns false when `op` is not in the pure set.
-  bool emitPure(Op op, std::int32_t res, const std::int32_t* o) {
-    const std::string R = slot(res);
-    auto F = [&](int i) { return slot(o[i]) + ".u.f"; };
-    auto I = [&](int i) { return slot(o[i]) + ".u.i"; };
-    auto binF = [&](const char* cost, const char* sym) {
-      av(cost);
-      line(R + ".u.f = " + F(0) + " " + sym + " " + F(1) + ";");
+  /// Emits an ops.def arithmetic row: its cost charge, then its statement
+  /// text with A, B, C bound to the `n` operand slots `o` and R to `res`.
+  void emitArith(Op op, std::int32_t res, const std::int32_t* o, int n) {
+    static const struct {
+      double psim::CostTable::*cost;
+      const char* stmt;
+    } kRows[] = {
+#define PARAD_OP(Id, ...) {nullptr, nullptr},
+#define PARAD_ARITH(Id, name, effect, cost, sig, ...) \
+  {&psim::CostTable::cost, #__VA_ARGS__},
+#include "src/ir/ops.def"
     };
-    auto callF1 = [&](const char* cost, const char* fn) {
-      av(cost);
-      line(R + ".u.f = " + fn + "(" + F(0) + ");");
-    };
-    auto binI = [&](const char* sym) {
-      av("INTOP");
-      line(R + ".u.i = " + I(0) + " " + sym + " " + I(1) + ";");
-    };
-    auto cmp = [&](const std::string& a, const char* sym,
-                   const std::string& b) {
-      av("INTOP");
-      line(R + ".u.i = (" + a + " " + sym + " " + b + ") ? 1 : 0;");
-    };
-    switch (op) {
-      case Op::FAdd: binF("FLOP", "+"); break;
-      case Op::FSub: binF("FLOP", "-"); break;
-      case Op::FMul: binF("FLOP", "*"); break;
-      case Op::FDiv: binF("FDIV", "/"); break;
-      case Op::FNeg:
-        av("FLOP");
-        line(R + ".u.f = -" + F(0) + ";");
-        break;
-      case Op::Sqrt: callF1("SPECIAL", "std::sqrt"); break;
-      case Op::Sin: callF1("SPECIAL", "std::sin"); break;
-      case Op::Cos: callF1("SPECIAL", "std::cos"); break;
-      case Op::Exp: callF1("SPECIAL", "std::exp"); break;
-      case Op::Log: callF1("SPECIAL", "std::log"); break;
-      case Op::Cbrt: callF1("SPECIAL", "std::cbrt"); break;
-      case Op::Pow:
-        av("POW");
-        line(R + ".u.f = std::pow(" + F(0) + ", " + F(1) + ");");
-        break;
-      case Op::FAbs: callF1("MINMAX", "std::fabs"); break;
-      // std::min(a,b) is (b<a)?b:a and std::max(a,b) is (a<b)?b:a — spelled
-      // out so NaN propagation matches the exec engine bit for bit.
-      case Op::FMin:
-        av("MINMAX");
-        line(R + ".u.f = (" + F(1) + " < " + F(0) + ") ? " + F(1) + " : " +
-             F(0) + ";");
-        break;
-      case Op::FMax:
-        av("MINMAX");
-        line(R + ".u.f = (" + F(0) + " < " + F(1) + ") ? " + F(1) + " : " +
-             F(0) + ";");
-        break;
-      case Op::IAdd: binI("+"); break;
-      case Op::ISub: binI("-"); break;
-      case Op::IMul: binI("*"); break;
-      case Op::IDiv:
-        av("INTDIV");
-        line("if (" + I(1) +
-             " == 0) c->api->die(c, \"integer division by zero\");");
-        line("if (" + I(1) + " == -1 && " + I(0) + " == " + kInt64Min +
-             ") c->api->die(c, \"integer division overflow\");");
-        line(R + ".u.i = " + I(0) + " / " + I(1) + ";");
-        break;
-      case Op::IRem:
-        av("INTDIV");
-        line("if (" + I(1) +
-             " == 0) c->api->die(c, \"integer remainder by zero\");");
-        line("if (" + I(1) + " == -1 && " + I(0) + " == " + kInt64Min +
-             ") c->api->die(c, \"integer remainder overflow\");");
-        line(R + ".u.i = " + I(0) + " % " + I(1) + ";");
-        break;
-      case Op::IMinOp:
-        av("INTOP");
-        line(R + ".u.i = (" + I(1) + " < " + I(0) + ") ? " + I(1) + " : " +
-             I(0) + ";");
-        break;
-      case Op::IMaxOp:
-        av("INTOP");
-        line(R + ".u.i = (" + I(0) + " < " + I(1) + ") ? " + I(1) + " : " +
-             I(0) + ";");
-        break;
-      case Op::ICmpEq: cmp(I(0), "==", I(1)); break;
-      case Op::ICmpNe: cmp(I(0), "!=", I(1)); break;
-      case Op::ICmpLt: cmp(I(0), "<", I(1)); break;
-      case Op::ICmpLe: cmp(I(0), "<=", I(1)); break;
-      case Op::ICmpGt: cmp(I(0), ">", I(1)); break;
-      case Op::ICmpGe: cmp(I(0), ">=", I(1)); break;
-      case Op::FCmpLt: cmp(F(0), "<", F(1)); break;
-      case Op::FCmpLe: cmp(F(0), "<=", F(1)); break;
-      case Op::FCmpGt: cmp(F(0), ">", F(1)); break;
-      case Op::FCmpGe: cmp(F(0), ">=", F(1)); break;
-      case Op::FCmpEq: cmp(F(0), "==", F(1)); break;
-      case Op::BAnd:
-        av("INTOP");
-        line(R + ".u.i = (" + I(0) + " && " + I(1) + ") ? 1 : 0;");
-        break;
-      case Op::BOr:
-        av("INTOP");
-        line(R + ".u.i = (" + I(0) + " || " + I(1) + ") ? 1 : 0;");
-        break;
-      case Op::BNot:
-        av("INTOP");
-        line(R + ".u.i = (!" + I(0) + ") ? 1 : 0;");
-        break;
-      case Op::Select:
-        av("INTOP");
-        line(R + " = " + I(0) + " ? " + slot(o[1]) + " : " + slot(o[2]) + ";");
-        break;
-      case Op::IToF:
-        av("INTOP");
-        line(R + ".u.f = (double)" + I(0) + ";");
-        break;
-      case Op::FToI:
-        av("INTOP");
-        line(R + ".u.i = (long long)" + F(0) + ";");
-        break;
-      case Op::PtrOffset:
-        av("INTOP");
-        line("{ parad_cg_ptr cg_t = " + slot(o[0]) + ".u.p; cg_t.off += " +
-             I(1) + "; " + R + ".u.p = cg_t; }");
-        break;
-      default:
-        return false;
-    }
-    return true;
+    const auto& row = kRows[static_cast<int>(op)];
+    PARAD_CHECK(row.stmt != nullptr, "codegen: non-arithmetic op ",
+                ir::traits(op).name, " emitted as arithmetic");
+    av(costIndex(row.cost));
+    std::string s = "{ ";
+    for (int i = 0; i < n; ++i)
+      s += std::string("const parad_cg_val& ") + "ABC"[i] + " = " +
+           slot(o[i]) + "; ";
+    line(s + "parad_cg_val& R = " + slot(res) + "; " + row.stmt + "; }");
   }
 
   void emitInst(const ExecProgram& p, int prog, std::int32_t pc) {
@@ -464,17 +384,14 @@ class SourceEmitter {
              std::to_string(pc) + ")) " + kPropagate);
         break;
 
-      default: {
-        bool ok = emitPure(in.op, in.result, o);
-        PARAD_CHECK(ok, "codegen: unhandled op in emitter");
+      default:
+        emitArith(in.op, in.result, o, in.nOps);
         break;
-      }
     }
 
     if (in.op2 >= 0) {
       line("nd += " + std::to_string(1 + in.consts2) + "ull;");
-      bool ok = emitPure(static_cast<Op>(in.op2), in.result2, in.a2.data());
-      PARAD_CHECK(ok, "codegen: non-arithmetic op in fused slot");
+      emitArith(static_cast<Op>(in.op2), in.result2, in.a2.data(), in.nOps2);
     }
   }
 
@@ -592,16 +509,8 @@ class CodegenExecutor final : public Executor {
 
  protected:
   void beginRun(RankRun& rr) override {
-    costs_[PARAD_CG_CT_FLOP] = ct_.flop;
-    costs_[PARAD_CG_CT_FDIV] = ct_.fdiv;
-    costs_[PARAD_CG_CT_INTOP] = ct_.intOp;
-    costs_[PARAD_CG_CT_INTDIV] = ct_.intDiv;
-    costs_[PARAD_CG_CT_SPECIAL] = ct_.special;
-    costs_[PARAD_CG_CT_POW] = ct_.powCost;
-    costs_[PARAD_CG_CT_MINMAX] = ct_.minmax;
-    costs_[PARAD_CG_CT_LOOPITER] = ct_.loopIter;
-    costs_[PARAD_CG_CT_WORKSHARE] = ct_.workshareInit;
-    costs_[PARAD_CG_CT_GC] = ct_.gcCost;
+    for (std::size_t k = 0; k < std::size(kCgCosts); ++k)
+      costs_[k] = ct_.*kCgCosts[k].field;
     rr_ = &rr;
     ctx_.api = &kApi;
     ctx_.ct = costs_;

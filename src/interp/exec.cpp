@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 namespace parad::interp {
 
@@ -240,104 +239,6 @@ Executor::Flow Executor::execParallelFor(const ExecProgram& p,
   return Flow::Normal;
 }
 
-// Every ir::Op in enum order, tagged A when it is region-free frame
-// arithmetic (fusableOp: it has a handler in both dispatch slots) and N
-// otherwise (first slot only). The static_asserts below check the order, the
-// count and the tags, so the dispatch tables built from this list index
-// exactly like the enum.
-#define PARAD_EXEC_OPS(A, N)                                                   \
-  N(ConstF) N(ConstI) N(ConstB)                                                \
-  A(FAdd) A(FSub) A(FMul) A(FDiv) A(FNeg)                                      \
-  A(Sqrt) A(Sin) A(Cos) A(Exp) A(Log) A(Pow) A(FAbs) A(FMin) A(FMax) A(Cbrt)   \
-  A(IAdd) A(ISub) A(IMul) A(IDiv) A(IRem) A(IMinOp) A(IMaxOp)                  \
-  A(ICmpEq) A(ICmpNe) A(ICmpLt) A(ICmpLe) A(ICmpGt) A(ICmpGe)                  \
-  A(FCmpLt) A(FCmpLe) A(FCmpGt) A(FCmpGe) A(FCmpEq)                            \
-  A(BAnd) A(BOr) A(BNot) A(Select) A(IToF) A(FToI)                             \
-  N(Alloc) N(Free) N(Load) N(Store) A(PtrOffset) N(AtomicAddF) N(Memset0)      \
-  N(Call) N(CallIndirect) N(Return)                                            \
-  N(For) N(While) N(Yield) N(If)                                               \
-  N(ParallelFor) N(Fork) N(Workshare) N(BarrierOp) N(ThreadIdOp)               \
-  N(NumThreadsOp) N(Spawn) N(SyncOp)                                           \
-  N(MpRank) N(MpSize) N(MpIsend) N(MpIrecv) N(MpWaitOp) N(MpSend) N(MpRecv)    \
-  N(MpAllreduce) N(MpBarrier)                                                  \
-  N(OmpParallelFor) N(JlAllocArray) N(GcPreserveBegin) N(GcPreserveEnd)
-
-// The semantics of each arithmetic op, written once for both dispatch
-// slots: the psim::CostTable field it charges, then a statement over its
-// operand values A, B, C and its result slot R.
-#define PARAD_ARITH_OPS(X)                                                   \
-  X(FAdd, flop, R.u.f = A.u.f + B.u.f)                                       \
-  X(FSub, flop, R.u.f = A.u.f - B.u.f)                                       \
-  X(FMul, flop, R.u.f = A.u.f * B.u.f)                                       \
-  X(FDiv, fdiv, R.u.f = A.u.f / B.u.f)                                       \
-  X(FNeg, flop, R.u.f = -A.u.f)                                              \
-  X(Sqrt, special, R.u.f = std::sqrt(A.u.f))                                 \
-  X(Sin, special, R.u.f = std::sin(A.u.f))                                   \
-  X(Cos, special, R.u.f = std::cos(A.u.f))                                   \
-  X(Exp, special, R.u.f = std::exp(A.u.f))                                   \
-  X(Log, special, R.u.f = std::log(A.u.f))                                   \
-  X(Pow, powCost, R.u.f = std::pow(A.u.f, B.u.f))                            \
-  X(FAbs, minmax, R.u.f = std::fabs(A.u.f))                                  \
-  X(FMin, minmax, R.u.f = std::min(A.u.f, B.u.f))                            \
-  X(FMax, minmax, R.u.f = std::max(A.u.f, B.u.f))                            \
-  X(Cbrt, special, R.u.f = std::cbrt(A.u.f))                                 \
-  X(IAdd, intOp, R.u.i = A.u.i + B.u.i)                                      \
-  X(ISub, intOp, R.u.i = A.u.i - B.u.i)                                      \
-  X(IMul, intOp, R.u.i = A.u.i * B.u.i)                                      \
-  X(IDiv, intDiv, R.u.i = intDiv(A.u.i, B.u.i))                              \
-  X(IRem, intDiv, R.u.i = intRem(A.u.i, B.u.i))                              \
-  X(IMinOp, intOp, R.u.i = std::min(A.u.i, B.u.i))                           \
-  X(IMaxOp, intOp, R.u.i = std::max(A.u.i, B.u.i))                           \
-  X(ICmpEq, intOp, R.u.i = A.u.i == B.u.i ? 1 : 0)                           \
-  X(ICmpNe, intOp, R.u.i = A.u.i != B.u.i ? 1 : 0)                           \
-  X(ICmpLt, intOp, R.u.i = A.u.i < B.u.i ? 1 : 0)                            \
-  X(ICmpLe, intOp, R.u.i = A.u.i <= B.u.i ? 1 : 0)                           \
-  X(ICmpGt, intOp, R.u.i = A.u.i > B.u.i ? 1 : 0)                            \
-  X(ICmpGe, intOp, R.u.i = A.u.i >= B.u.i ? 1 : 0)                           \
-  X(FCmpLt, intOp, R.u.i = A.u.f < B.u.f ? 1 : 0)                            \
-  X(FCmpLe, intOp, R.u.i = A.u.f <= B.u.f ? 1 : 0)                           \
-  X(FCmpGt, intOp, R.u.i = A.u.f > B.u.f ? 1 : 0)                            \
-  X(FCmpGe, intOp, R.u.i = A.u.f >= B.u.f ? 1 : 0)                           \
-  X(FCmpEq, intOp, R.u.i = A.u.f == B.u.f ? 1 : 0)                           \
-  X(BAnd, intOp, R.u.i = A.u.i && B.u.i ? 1 : 0)                             \
-  X(BOr, intOp, R.u.i = A.u.i || B.u.i ? 1 : 0)                              \
-  X(BNot, intOp, R.u.i = !A.u.i ? 1 : 0)                                     \
-  X(Select, intOp, R = A.u.i ? B : C)                                        \
-  X(IToF, intOp, R.u.f = static_cast<double>(A.u.i))                         \
-  X(FToI, intOp, R.u.i = static_cast<i64>(A.u.f))                            \
-  X(PtrOffset, intOp, { RtPtr q = A.u.p; q.off += B.u.i; R.u.p = q; })
-
-namespace {
-
-constexpr Op kExecOpOrder[] = {
-#define PARAD_OP_VALUE(op) Op::op,
-    PARAD_EXEC_OPS(PARAD_OP_VALUE, PARAD_OP_VALUE)
-#undef PARAD_OP_VALUE
-};
-
-constexpr bool execOpsMatchEnum() {
-  for (int i = 0; i < ir::kNumOps; ++i)
-    if (kExecOpOrder[i] != static_cast<Op>(i)) return false;
-  return true;
-}
-
-constexpr bool execTagsMatchFusable() {
-#define PARAD_TAG_A(op) if (!fusableOp(Op::op)) return false;
-#define PARAD_TAG_N(op) if (fusableOp(Op::op)) return false;
-  PARAD_EXEC_OPS(PARAD_TAG_A, PARAD_TAG_N)
-#undef PARAD_TAG_A
-#undef PARAD_TAG_N
-  return true;
-}
-
-static_assert(std::size(kExecOpOrder) == ir::kNumOps &&
-                  execOpsMatchEnum(),
-              "PARAD_EXEC_OPS must list every ir::Op once, in enum order");
-static_assert(execTagsMatchFusable(),
-              "PARAD_EXEC_OPS must tag exactly the fusableOp ops with A");
-
-}  // namespace
-
 Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
                                    std::int32_t end,
                                    std::int32_t trailingConsts, Frame& f,
@@ -345,22 +246,16 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
   // Direct-threaded dispatch (DESIGN.md §9): every handler ends in its own
   // indirect jump to the next instruction's handler. kFirst serves an
   // instruction's op, kSecond the arithmetic op fused into its second slot.
+  // Both are expanded from ops.def, so they index exactly like ir::Op.
   static const void* const kFirst[] = {
-#define PARAD_FIRST_ADDR(op) &&first_##op,
-      PARAD_EXEC_OPS(PARAD_FIRST_ADDR, PARAD_FIRST_ADDR)
-#undef PARAD_FIRST_ADDR
+#define PARAD_OP(Id, ...) &&first_##Id,
+#include "src/ir/ops.def"
   };
   static const void* const kSecond[] = {
-#define PARAD_SECOND_ADDR(op) &&second_##op,
-#define PARAD_NOT_FUSABLE(op) &&second_not_fusable,
-      PARAD_EXEC_OPS(PARAD_SECOND_ADDR, PARAD_NOT_FUSABLE)
-#undef PARAD_SECOND_ADDR
-#undef PARAD_NOT_FUSABLE
+#define PARAD_OP(Id, ...) &&second_not_fusable,
+#define PARAD_ARITH(Id, ...) &&second_##Id,
+#include "src/ir/ops.def"
   };
-  static_assert(std::size(kFirst) == ir::kNumOps,
-                "one first-slot handler per ir::Op");
-  static_assert(std::size(kSecond) == ir::kNumOps,
-                "one second-slot table entry per ir::Op");
 
   psim::MemoryManager& mem = machine_.mem();
   // Both are stable for the duration of this range: every nested construct
@@ -400,33 +295,34 @@ Executor::Flow Executor::execRange(const ExecProgram& p, std::int32_t pc,
   nd += 1 + static_cast<std::uint64_t>(in->constsBefore);
   goto* kFirst[static_cast<int>(in->op)];
 
-  // Arithmetic: one handler per op per slot, both expanded from
-  // PARAD_ARITH_OPS. A first-slot handler continues into the fused op, if
-  // any, before dispatching the next instruction.
-#define PARAD_ARITH_HANDLER(label, ops, res, cost, stmt)                 \
+  // Arithmetic: one handler per ops.def row per slot, each charging the
+  // row's cost field and running its statement over operand slots A, B, C
+  // (unused slots index 0) and result slot R. A first-slot handler
+  // continues into the fused op, if any, before dispatching the next
+  // instruction.
+#define PARAD_ARITH_HANDLER(label, ops, res, cost, ...)                  \
   label : {                                                              \
     PARAD_CHARGE(ct_.cost);                                              \
     [[maybe_unused]] const RtVal& A = PARAD_SLOT(0, ops);                \
     [[maybe_unused]] const RtVal& B = PARAD_SLOT(1, ops);                \
     [[maybe_unused]] const RtVal& C = PARAD_SLOT(2, ops);                \
     RtVal& R = F[static_cast<std::size_t>(res)];                         \
-    stmt;                                                                \
+    __VA_ARGS__;                                                         \
   }
-#define PARAD_FIRST_ARITH(op, cost, stmt)                                \
-  PARAD_ARITH_HANDLER(first_##op, in->a, in->result, cost, stmt)         \
+#define PARAD_OP(...)
+#define PARAD_ARITH(Id, name, effect, cost, sig, ...)                    \
+  PARAD_ARITH_HANDLER(first_##Id, in->a, in->result, cost, __VA_ARGS__)  \
   if (in->op2 >= 0) {                                                    \
     nd += 1 + static_cast<std::uint64_t>(in->consts2);                   \
     goto* kSecond[in->op2];                                              \
   }                                                                      \
   PARAD_DISPATCH();
-#define PARAD_SECOND_ARITH(op, cost, stmt)                               \
-  PARAD_ARITH_HANDLER(second_##op, in->a2, in->result2, cost, stmt)      \
+#include "src/ir/ops.def"
+#define PARAD_OP(...)
+#define PARAD_ARITH(Id, name, effect, cost, sig, ...)                    \
+  PARAD_ARITH_HANDLER(second_##Id, in->a2, in->result2, cost, __VA_ARGS__) \
   PARAD_DISPATCH();
-
-  PARAD_ARITH_OPS(PARAD_FIRST_ARITH)
-  PARAD_ARITH_OPS(PARAD_SECOND_ARITH)
-#undef PARAD_FIRST_ARITH
-#undef PARAD_SECOND_ARITH
+#include "src/ir/ops.def"
 #undef PARAD_ARITH_HANDLER
 
 second_not_fusable:
@@ -656,8 +552,6 @@ range_end:
 #undef PARAD_CHARGE
 #undef PARAD_DISPATCH
 #undef PARAD_RETURN
-#undef PARAD_EXEC_OPS
-#undef PARAD_ARITH_OPS
 
 Executor::Flow Executor::execComplexInst(const ExecProgram& p,
                                          const ExecInst& in, Frame& f,

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,21 +50,9 @@ struct RtVal {
   static RtVal P(psim::RtPtr v) { RtVal x; x.u.p = v; return x; }
 };
 
-/// The IR's idiv and irem: C++ division, except that the two inputs C++
-/// leaves undefined (and x86 turns into SIGFPE) throw parad::Error instead:
-/// a zero divisor, and INT64_MIN by -1, whose quotient does not fit.
-inline i64 intDiv(i64 a, i64 b) {
-  PARAD_CHECK(b != 0, "integer division by zero");
-  PARAD_CHECK(b != -1 || a != std::numeric_limits<i64>::min(),
-              "integer division overflow");
-  return a / b;
-}
-inline i64 intRem(i64 a, i64 b) {
-  PARAD_CHECK(b != 0, "integer remainder by zero");
-  PARAD_CHECK(b != -1 || a != std::numeric_limits<i64>::min(),
-              "integer remainder overflow");
-  return a % b;
-}
+/// The trap hook of ops.def's value statements, as the interpreting engines
+/// expand them: a structured error (generated code defines its own).
+#define PARAD_OP_TRAP(msg) ::parad::fail(msg)
 
 /// Process-wide default engine, by canonical name. Initialized from the
 /// PARAD_ENGINE env knob on first use ("exec" when unset); an unknown value

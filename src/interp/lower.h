@@ -76,32 +76,13 @@ struct ExecInst {
   std::int32_t consts2 = 0;  // folded consts between the pair's two ops
 };
 
-/// Ops eligible for superinstruction pairing: region-free frame arithmetic
-/// whose execution touches only the frame and the worker clock (no memory
-/// manager, no scheduler state, no thread identity). Two adjacent fusable
-/// instructions share one dispatch in the executor, which has a handler for
-/// each of these ops in each of its two slots (checked at compile time in
-/// exec.cpp against this predicate).
-constexpr bool fusableOp(ir::Op op) {
-  using ir::Op;
-  switch (op) {
-    case Op::FAdd: case Op::FSub: case Op::FMul: case Op::FDiv:
-    case Op::FNeg: case Op::Sqrt: case Op::Sin: case Op::Cos:
-    case Op::Exp: case Op::Log: case Op::Cbrt: case Op::Pow:
-    case Op::FAbs: case Op::FMin: case Op::FMax:
-    case Op::IAdd: case Op::ISub: case Op::IMul: case Op::IDiv:
-    case Op::IRem: case Op::IMinOp: case Op::IMaxOp:
-    case Op::ICmpEq: case Op::ICmpNe: case Op::ICmpLt: case Op::ICmpLe:
-    case Op::ICmpGt: case Op::ICmpGe:
-    case Op::FCmpLt: case Op::FCmpLe: case Op::FCmpGt: case Op::FCmpGe:
-    case Op::FCmpEq:
-    case Op::BAnd: case Op::BOr: case Op::BNot: case Op::Select:
-    case Op::IToF: case Op::FToI: case Op::PtrOffset:
-      return true;
-    default:
-      return false;
-  }
-}
+/// Ops eligible for superinstruction pairing: the ops.def arithmetic rows,
+/// region-free frame arithmetic whose execution touches only the frame and
+/// the worker clock (no memory manager, no scheduler state, no thread
+/// identity). Two adjacent fusable instructions share one dispatch in the
+/// executor, which expands a handler for each of these ops in each of its
+/// two slots from the same rows.
+inline bool fusableOp(ir::Op op) { return ir::traits(op).arith; }
 
 /// A constant folded out of the instruction stream: written into its frame
 /// slot once at frame setup instead of being dispatched on every visit.

@@ -11,6 +11,8 @@ using ir::Op;
 using ir::Type;
 using psim::RtPtr;
 
+static const RtVal kNoOperand{};
+
 // Collects every value id defined inside the instruction's regions (results
 // and region args). Used to give fork threads private storage for SSA values
 // that cross barrier-segment boundaries.
@@ -262,61 +264,30 @@ TreeWalker::Flow TreeWalker::execInst(const ir::Function& fn,
   };
   auto setF = [&](double v) { f[static_cast<std::size_t>(in.result)].u.f = v; };
   auto setI = [&](i64 v) { f[static_cast<std::size_t>(in.result)].u.i = v; };
-  auto setB = [&](bool v) {
-    f[static_cast<std::size_t>(in.result)].u.i = v ? 1 : 0;
-  };
   auto setP = [&](RtPtr p) { f[static_cast<std::size_t>(in.result)].u.p = p; };
+  // Operand i of an ops.def statement; a unary or binary op's missing ones
+  // read as zero.
+  auto operand = [&](std::size_t i) -> const RtVal& {
+    return i < in.operands.size() ? V(i) : kNoOperand;
+  };
 
   switch (in.op) {
     case Op::ConstF: setF(in.fconst); return Flow::Normal;
     case Op::ConstI: setI(in.iconst); return Flow::Normal;
     case Op::ConstB: setI(in.iconst); return Flow::Normal;
 
-    case Op::FAdd: w.advance(c.flop); setF(V(0).u.f + V(1).u.f); return Flow::Normal;
-    case Op::FSub: w.advance(c.flop); setF(V(0).u.f - V(1).u.f); return Flow::Normal;
-    case Op::FMul: w.advance(c.flop); setF(V(0).u.f * V(1).u.f); return Flow::Normal;
-    case Op::FDiv: w.advance(c.flop * 4); setF(V(0).u.f / V(1).u.f); return Flow::Normal;
-    case Op::FNeg: w.advance(c.flop); setF(-V(0).u.f); return Flow::Normal;
-    case Op::Sqrt: w.advance(c.special); setF(std::sqrt(V(0).u.f)); return Flow::Normal;
-    case Op::Sin: w.advance(c.special); setF(std::sin(V(0).u.f)); return Flow::Normal;
-    case Op::Cos: w.advance(c.special); setF(std::cos(V(0).u.f)); return Flow::Normal;
-    case Op::Exp: w.advance(c.special); setF(std::exp(V(0).u.f)); return Flow::Normal;
-    case Op::Log: w.advance(c.special); setF(std::log(V(0).u.f)); return Flow::Normal;
-    case Op::Cbrt: w.advance(c.special); setF(std::cbrt(V(0).u.f)); return Flow::Normal;
-    case Op::Pow: w.advance(c.powCost); setF(std::pow(V(0).u.f, V(1).u.f)); return Flow::Normal;
-    case Op::FAbs: w.advance(c.minmax); setF(std::fabs(V(0).u.f)); return Flow::Normal;
-    case Op::FMin: w.advance(c.minmax); setF(std::min(V(0).u.f, V(1).u.f)); return Flow::Normal;
-    case Op::FMax: w.advance(c.minmax); setF(std::max(V(0).u.f, V(1).u.f)); return Flow::Normal;
-
-    case Op::IAdd: w.advance(c.intOp); setI(V(0).u.i + V(1).u.i); return Flow::Normal;
-    case Op::ISub: w.advance(c.intOp); setI(V(0).u.i - V(1).u.i); return Flow::Normal;
-    case Op::IMul: w.advance(c.intOp); setI(V(0).u.i * V(1).u.i); return Flow::Normal;
-    case Op::IDiv: w.advance(c.intOp * 4); setI(intDiv(V(0).u.i, V(1).u.i)); return Flow::Normal;
-    case Op::IRem: w.advance(c.intOp * 4); setI(intRem(V(0).u.i, V(1).u.i)); return Flow::Normal;
-    case Op::IMinOp: w.advance(c.intOp); setI(std::min(V(0).u.i, V(1).u.i)); return Flow::Normal;
-    case Op::IMaxOp: w.advance(c.intOp); setI(std::max(V(0).u.i, V(1).u.i)); return Flow::Normal;
-
-    case Op::ICmpEq: w.advance(c.intOp); setB(V(0).u.i == V(1).u.i); return Flow::Normal;
-    case Op::ICmpNe: w.advance(c.intOp); setB(V(0).u.i != V(1).u.i); return Flow::Normal;
-    case Op::ICmpLt: w.advance(c.intOp); setB(V(0).u.i < V(1).u.i); return Flow::Normal;
-    case Op::ICmpLe: w.advance(c.intOp); setB(V(0).u.i <= V(1).u.i); return Flow::Normal;
-    case Op::ICmpGt: w.advance(c.intOp); setB(V(0).u.i > V(1).u.i); return Flow::Normal;
-    case Op::ICmpGe: w.advance(c.intOp); setB(V(0).u.i >= V(1).u.i); return Flow::Normal;
-    case Op::FCmpLt: w.advance(c.intOp); setB(V(0).u.f < V(1).u.f); return Flow::Normal;
-    case Op::FCmpLe: w.advance(c.intOp); setB(V(0).u.f <= V(1).u.f); return Flow::Normal;
-    case Op::FCmpGt: w.advance(c.intOp); setB(V(0).u.f > V(1).u.f); return Flow::Normal;
-    case Op::FCmpGe: w.advance(c.intOp); setB(V(0).u.f >= V(1).u.f); return Flow::Normal;
-    case Op::FCmpEq: w.advance(c.intOp); setB(V(0).u.f == V(1).u.f); return Flow::Normal;
-
-    case Op::BAnd: w.advance(c.intOp); setB(V(0).u.i && V(1).u.i); return Flow::Normal;
-    case Op::BOr: w.advance(c.intOp); setB(V(0).u.i || V(1).u.i); return Flow::Normal;
-    case Op::BNot: w.advance(c.intOp); setB(!V(0).u.i); return Flow::Normal;
-    case Op::Select:
-      w.advance(c.intOp);
-      f[static_cast<std::size_t>(in.result)] = V(0).u.i ? V(1) : V(2);
-      return Flow::Normal;
-    case Op::IToF: w.advance(c.intOp); setF(static_cast<double>(V(0).u.i)); return Flow::Normal;
-    case Op::FToI: w.advance(c.intOp); setI(static_cast<i64>(V(0).u.f)); return Flow::Normal;
+#define PARAD_OP(...)
+#define PARAD_ARITH(Id, name, effect, cost, sig, ...)                  \
+    case Op::Id: {                                                     \
+      w.advance(ct_.cost);                                             \
+      [[maybe_unused]] const RtVal& A = operand(0);                    \
+      [[maybe_unused]] const RtVal& B = operand(1);                    \
+      [[maybe_unused]] const RtVal& C = operand(2);                    \
+      RtVal& R = f[static_cast<std::size_t>(in.result)];               \
+      __VA_ARGS__;                                                     \
+      return Flow::Normal;                                             \
+    }
+#include "src/ir/ops.def"
 
     case Op::Alloc: {
       i64 count = V(0).u.i;
@@ -355,13 +326,6 @@ TreeWalker::Flow TreeWalker::execInst(const ir::Function& fn,
         case Type::PtrF64: mem.atP(p, idx) = V(2).u.p; break;
         default: PARAD_UNREACHABLE("bad store elem");
       }
-      return Flow::Normal;
-    }
-    case Op::PtrOffset: {
-      w.advance(c.intOp);
-      RtPtr p = V(0).u.p;
-      p.off += V(1).u.i;
-      setP(p);
       return Flow::Normal;
     }
     case Op::AtomicAddF: {

@@ -24,7 +24,7 @@ namespace parad::interp {
 class TreeWalker {
  public:
   TreeWalker(const ir::Module& mod, psim::Machine& machine)
-      : mod_(mod), machine_(machine) {}
+      : mod_(mod), machine_(machine), ct_(machine.config().cost) {}
 
   RtVal run(const ir::Function& fn, std::vector<RtVal> args,
             psim::RankEnv& env);
@@ -67,6 +67,7 @@ class TreeWalker {
 
   const ir::Module& mod_;
   psim::Machine& machine_;
+  psim::CostTable ct_;  // the ops.def cost fields, as exec charges them
   std::unordered_map<const ir::Inst*, std::vector<int>> definedCache_;
 };
 

@@ -19,68 +19,18 @@
 
 namespace parad::ir {
 
+/// Opcodes, one per row of ops.def (which documents each op's operands).
 enum class Op : unsigned char {
-  // Constants.
-  ConstF, ConstI, ConstB,
-  // f64 arithmetic.
-  FAdd, FSub, FMul, FDiv, FNeg,
-  // f64 math intrinsics.
-  Sqrt, Sin, Cos, Exp, Log, Pow, FAbs, FMin, FMax, Cbrt,
-  // i64 arithmetic.
-  IAdd, ISub, IMul, IDiv, IRem, IMinOp, IMaxOp,
-  // Comparisons (result i1).
-  ICmpEq, ICmpNe, ICmpLt, ICmpLe, ICmpGt, ICmpGe,
-  FCmpLt, FCmpLe, FCmpGt, FCmpGe, FCmpEq,
-  // Booleans.
-  BAnd, BOr, BNot,
-  Select,  // (i1, a, b) -> a or b
-  // Conversions.
-  IToF, FToI,
-  // Memory. Alloc: (count:i64), iconst = element Type; heap allocation.
-  Alloc, Free,
-  Load,       // (ptr, idx:i64) -> elem
-  Store,      // (ptr, idx:i64, val)
-  PtrOffset,  // (ptr, idx:i64) -> ptr
-  AtomicAddF, // (ptr<f64>, idx, val)
-  Memset0,    // (ptr, count) zero-fill
-  // Calls.
-  Call,          // sym = callee name
-  CallIndirect,  // (addr:i64, args...) resolved to Call by a pass
-  Return,        // () or (val)
-  // Structured control flow.
-  For,    // (lo, hi) region(iv); iterates iv = lo..hi-1
-  While,  // () region(iter:i64); body's last inst must be Yield(i1 continue)
-  Yield,  // (i1) terminator of a While body
-  If,     // (cond) region(then), region(else)
-  // Parallel constructs (fork/join and task DAG).
-  ParallelFor,  // (lo, hi) region(iv): iterations may run concurrently
-  Fork,         // (nthreads:i64; <=0 means runtime default) region(tid)
-  Workshare,    // (lo, hi) region(iv): static worksharing, inside Fork only
-  BarrierOp,    // thread barrier, at the top level of a Fork body only
-  ThreadIdOp, NumThreadsOp,
-  Spawn,   // region() -> task
-  SyncOp,  // (task)
-  // Message passing (distinct address spaces per rank, explicit data motion).
-  MpRank, MpSize,
-  MpIsend,      // (ptr<f64>, count, dest, tag) -> req
-  MpIrecv,      // (ptr<f64>, count, src, tag) -> req
-  MpWaitOp,     // (req)
-  MpSend,       // (ptr<f64>, count, dest, tag) blocking
-  MpRecv,       // (ptr<f64>, count, src, tag) blocking
-  MpAllreduce,  // (sendptr, recvptr, count), iconst = ReduceKind
-  MpBarrier,
-  // High-level omp dialect (lowered to Fork/Workshare before interp/AD).
-  OmpParallelFor,  // (lo, hi, clause operands...) region(iv, clause vars...)
-  // Dynamic-language (jlite) dialect.
-  JlAllocArray,     // (count:i64) -> ptr<ptr>: GC'd boxed array descriptor
-  GcPreserveBegin,  // (ptrs...) -> i64 token
-  GcPreserveEnd,    // (token)
+#define PARAD_OP(Id, ...) Id,
+#include "src/ir/ops.def"
 };
 
-/// Number of opcodes; it names the last enumerator, so an opcode added after
-/// GcPreserveEnd must update it. Tables indexed by Op (the traits table, the
-/// exec engine's two dispatch tables) static_assert their size against it.
-inline constexpr int kNumOps = static_cast<int>(Op::GcPreserveEnd) + 1;
+/// Number of opcodes. Tables indexed by Op (the traits table, the exec
+/// engine's two dispatch tables) are expanded from ops.def too.
+inline constexpr int kNumOps = 0
+#define PARAD_OP(Id, ...) +1
+#include "src/ir/ops.def"
+    ;
 
 enum class ReduceKind : unsigned char { Sum, Min, Max };
 
@@ -108,7 +58,6 @@ enum InstFlags : unsigned {
   kFlagNone = 0,
   kFlagCacheAlloc = 1u << 0,   // Alloc created by the AD cache planner
   kFlagShadowAlloc = 1u << 1,  // Alloc created as shadow of a primal object
-  kFlagReadNone = 1u << 2,     // (reserved)
 };
 
 struct Inst;
@@ -186,12 +135,46 @@ struct Module {
   bool has(const std::string& name) const { return functions.count(name) != 0; }
 };
 
-/// Static metadata about an opcode (for the printer and verifier).
+/// What executing an op may observe or change, beyond its operands.
+enum class OpEffect : unsigned char {
+  Const,     // materializes its payload
+  Pure,      // a function of its operands alone
+  PureTrap,  // pure, but traps on some operands (idiv, irem)
+  EnvRead,   // reads the running thread's or rank's identity
+  Load,      // reads memory
+  Other,     // writes memory, communicates, calls or holds regions
+};
+
+/// Static metadata about an opcode: its ops.def row.
 struct OpTraits {
   const char* name;
-  int numRegions;    // -1: variable (none currently)
-  bool hasResult;    // does the op define a value
+  int numRegions;
+  bool hasResult;
+  OpEffect effect;
+  bool arith;        // has a value statement in ops.def (the fusable ops)
+  bool typed;        // `result` and `operands` are the op's exact types
+  Type result;       // Void: no result
+  Type operands[3];  // Void past the last operand
+
+  int numOperands() const {
+    int n = 0;
+    while (n < 3 && operands[n] != Type::Void) ++n;
+    return n;
+  }
 };
 const OpTraits& traits(Op op);
+
+/// Dead-code elimination may drop the op when its result is unused.
+inline bool removableWhenUnused(Op op) {
+  OpEffect e = traits(op).effect;
+  return e != OpEffect::PureTrap && e != OpEffect::Other;
+}
+
+/// Loop-invariant code motion may hoist the op whenever its operands are
+/// defined outside the loop.
+inline bool hoistablePure(Op op) {
+  OpEffect e = traits(op).effect;
+  return e == OpEffect::Const || e == OpEffect::Pure;
+}
 
 }  // namespace parad::ir

@@ -83,59 +83,22 @@ class Verifier {
 
   void checkInst(const Inst& in, bool inFork, bool inParallel,
                  bool mayBeYield, bool topOfForkBody) {
-    VERIFY(in.regions.size() ==
-               static_cast<std::size_t>(traits(in.op).numRegions),
-           traits(in.op).name, ": wrong region count");
+    const OpTraits& t = traits(in.op);
+    VERIFY(in.regions.size() == static_cast<std::size_t>(t.numRegions),
+           t.name, ": wrong region count");
+    // An op with a fixed signature (ops.def): its operand count, then each
+    // operand's type, then its result's. The switch adds what else it needs.
+    if (t.typed) {
+      expectCount(in, static_cast<std::size_t>(t.numOperands()));
+      for (int i = 0; i < t.numOperands(); ++i)
+        expect(in, static_cast<std::size_t>(i), t.operands[i]);
+      if (t.result != Type::Void) expectResult(in, t.result);
+    }
     switch (in.op) {
       case Op::ConstF:
       case Op::ConstI:
       case Op::ConstB:
         expectCount(in, 0);
-        break;
-      case Op::FAdd: case Op::FSub: case Op::FMul: case Op::FDiv:
-      case Op::Pow: case Op::FMin: case Op::FMax:
-        expectCount(in, 2);
-        expect(in, 0, Type::F64);
-        expect(in, 1, Type::F64);
-        expectResult(in, Type::F64);
-        break;
-      case Op::FNeg: case Op::Sqrt: case Op::Sin: case Op::Cos:
-      case Op::Exp: case Op::Log: case Op::FAbs: case Op::Cbrt:
-        expectCount(in, 1);
-        expect(in, 0, Type::F64);
-        expectResult(in, Type::F64);
-        break;
-      case Op::IAdd: case Op::ISub: case Op::IMul: case Op::IDiv:
-      case Op::IRem: case Op::IMinOp: case Op::IMaxOp:
-        expectCount(in, 2);
-        expect(in, 0, Type::I64);
-        expect(in, 1, Type::I64);
-        expectResult(in, Type::I64);
-        break;
-      case Op::ICmpEq: case Op::ICmpNe: case Op::ICmpLt:
-      case Op::ICmpLe: case Op::ICmpGt: case Op::ICmpGe:
-        expectCount(in, 2);
-        expect(in, 0, Type::I64);
-        expect(in, 1, Type::I64);
-        expectResult(in, Type::I1);
-        break;
-      case Op::FCmpLt: case Op::FCmpLe: case Op::FCmpGt:
-      case Op::FCmpGe: case Op::FCmpEq:
-        expectCount(in, 2);
-        expect(in, 0, Type::F64);
-        expect(in, 1, Type::F64);
-        expectResult(in, Type::I1);
-        break;
-      case Op::BAnd: case Op::BOr:
-        expectCount(in, 2);
-        expect(in, 0, Type::I1);
-        expect(in, 1, Type::I1);
-        expectResult(in, Type::I1);
-        break;
-      case Op::BNot:
-        expectCount(in, 1);
-        expect(in, 0, Type::I1);
-        expectResult(in, Type::I1);
         break;
       case Op::Select: {
         expectCount(in, 3);
@@ -145,16 +108,6 @@ class Verifier {
         expectResult(in, a);
         break;
       }
-      case Op::IToF:
-        expectCount(in, 1);
-        expect(in, 0, Type::I64);
-        expectResult(in, Type::F64);
-        break;
-      case Op::FToI:
-        expectCount(in, 1);
-        expect(in, 0, Type::F64);
-        expectResult(in, Type::I64);
-        break;
       case Op::Alloc: {
         expectCount(in, 1);
         expect(in, 0, Type::I64);
@@ -185,12 +138,6 @@ class Verifier {
         expectPtr(in, 0);
         expect(in, 1, Type::I64);
         expectResult(in, use(in.operands[0]));
-        break;
-      case Op::AtomicAddF:
-        expectCount(in, 3);
-        expect(in, 0, Type::PtrF64);
-        expect(in, 1, Type::I64);
-        expect(in, 2, Type::F64);
         break;
       case Op::Memset0:
         expectCount(in, 2);
@@ -224,15 +171,11 @@ class Verifier {
       case Op::For:
       case Op::Workshare:
       case Op::ParallelFor:
-        expectCount(in, 2);
-        expect(in, 0, Type::I64);
-        expect(in, 1, Type::I64);
         VERIFY(in.regions[0].args.size() == 1, "loop region needs 1 arg");
         if (in.op == Op::Workshare)
           VERIFY(inFork, "workshare outside fork");
         break;
       case Op::While:
-        expectCount(in, 0);
         VERIFY(in.regions[0].args.size() == 1, "while region needs 1 arg");
         break;
       case Op::Yield:
@@ -241,14 +184,10 @@ class Verifier {
         expect(in, 0, Type::I1);
         break;
       case Op::If:
-        expectCount(in, 1);
-        expect(in, 0, Type::I1);
         VERIFY(in.regions[0].args.empty() && in.regions[1].args.empty(),
                "if regions take no args");
         break;
       case Op::Fork:
-        expectCount(in, 1);
-        expect(in, 0, Type::I64);
         VERIFY(in.regions[0].args.size() == 1, "fork region needs 1 arg (tid)");
         break;
       case Op::BarrierOp:
@@ -256,24 +195,15 @@ class Verifier {
                "barrier only allowed at top level of a fork body");
         expectCount(in, 0);
         break;
-      case Op::ThreadIdOp:
-      case Op::NumThreadsOp:
-        expectCount(in, 0);
-        expectResult(in, Type::I64);
-        break;
       case Op::Spawn:
         expectCount(in, 0);
         VERIFY(in.regions[0].args.empty(), "spawn region takes no args");
         expectResult(in, Type::Task);
         break;
-      case Op::SyncOp:
-        expectCount(in, 1);
-        expect(in, 0, Type::Task);
-        break;
       case Op::MpRank:
       case Op::MpSize:
-        expectCount(in, 0);
-        expectResult(in, Type::I64);
+      case Op::MpWaitOp:
+      case Op::MpBarrier:
         VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
         break;
       case Op::MpIsend:
@@ -295,11 +225,6 @@ class Verifier {
         expect(in, 3, Type::I64);
         VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
         break;
-      case Op::MpWaitOp:
-        expectCount(in, 1);
-        expect(in, 0, Type::Req);
-        VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
-        break;
       case Op::MpAllreduce:
         // Optional 4th operand: ptr<i64> receiving the per-element winning
         // rank for min/max (used by the AD engine to route adjoints).
@@ -310,10 +235,6 @@ class Verifier {
         expect(in, 2, Type::I64);
         if (in.operands.size() == 4) expect(in, 3, Type::PtrI64);
         VERIFY(in.iconst >= 0 && in.iconst <= 2, "bad reduce kind");
-        VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
-        break;
-      case Op::MpBarrier:
-        expectCount(in, 0);
         VERIFY(!inFork && !inParallel, "mp op inside a shared-memory region");
         break;
       case Op::OmpParallelFor: {
@@ -341,18 +262,13 @@ class Verifier {
                "omp region arg count mismatch");
         break;
       }
-      case Op::JlAllocArray:
-        expectCount(in, 1);
-        expect(in, 0, Type::I64);
-        expectResult(in, Type::PtrPtr);
-        break;
       case Op::GcPreserveBegin:
         for (std::size_t i = 0; i < in.operands.size(); ++i) expectPtr(in, i);
         expectResult(in, Type::I64);
         break;
-      case Op::GcPreserveEnd:
-        expectCount(in, 1);
-        expect(in, 0, Type::I64);
+      default:
+        // Fully checked by its signature above.
+        PARAD_CHECK(t.typed, "verifier: no type rule for ", t.name);
         break;
     }
     if (in.result >= 0) define(in.result);

@@ -287,34 +287,12 @@ void collectUses(const Region& r, std::vector<int>& useCount) {
   }
 }
 
-bool removableWhenUnused(Op op) {
-  switch (op) {
-    case Op::ConstF: case Op::ConstI: case Op::ConstB:
-    case Op::FAdd: case Op::FSub: case Op::FMul: case Op::FDiv: case Op::FNeg:
-    case Op::Sqrt: case Op::Sin: case Op::Cos: case Op::Exp: case Op::Log:
-    case Op::Pow: case Op::FAbs: case Op::FMin: case Op::FMax: case Op::Cbrt:
-    case Op::IAdd: case Op::ISub: case Op::IMul:
-    case Op::IMinOp: case Op::IMaxOp:
-    case Op::ICmpEq: case Op::ICmpNe: case Op::ICmpLt: case Op::ICmpLe:
-    case Op::ICmpGt: case Op::ICmpGe:
-    case Op::FCmpLt: case Op::FCmpLe: case Op::FCmpGt: case Op::FCmpGe:
-    case Op::FCmpEq:
-    case Op::BAnd: case Op::BOr: case Op::BNot:
-    case Op::Select: case Op::IToF: case Op::FToI: case Op::PtrOffset:
-    case Op::Load: case Op::ThreadIdOp: case Op::NumThreadsOp:
-    case Op::MpRank: case Op::MpSize:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool dceRegion(Region& r, const std::vector<int>& useCount) {
   bool changed = false;
   for (auto it = r.insts.begin(); it != r.insts.end();) {
     bool removed = false;
     if (it->result >= 0 && useCount[(std::size_t)it->result] == 0 &&
-        removableWhenUnused(it->op) && it->regions.empty()) {
+        ir::removableWhenUnused(it->op) && it->regions.empty()) {
       it = r.insts.erase(it);
       removed = true;
       changed = true;
@@ -352,26 +330,6 @@ namespace {
 bool isLoopLike(Op op) {
   return op == Op::For || op == Op::ParallelFor || op == Op::Workshare ||
          op == Op::Fork || op == Op::While;
-}
-
-bool hoistablePure(Op op) {
-  switch (op) {
-    case Op::ConstF: case Op::ConstI: case Op::ConstB:
-    case Op::FAdd: case Op::FSub: case Op::FMul: case Op::FDiv: case Op::FNeg:
-    case Op::Sqrt: case Op::Sin: case Op::Cos: case Op::Exp: case Op::Log:
-    case Op::Pow: case Op::FAbs: case Op::FMin: case Op::FMax: case Op::Cbrt:
-    case Op::IAdd: case Op::ISub: case Op::IMul:
-    case Op::IMinOp: case Op::IMaxOp:
-    case Op::ICmpEq: case Op::ICmpNe: case Op::ICmpLt: case Op::ICmpLe:
-    case Op::ICmpGt: case Op::ICmpGe:
-    case Op::FCmpLt: case Op::FCmpLe: case Op::FCmpGt: case Op::FCmpGe:
-    case Op::FCmpEq:
-    case Op::BAnd: case Op::BOr: case Op::BNot:
-    case Op::Select: case Op::IToF: case Op::FToI: case Op::PtrOffset:
-      return true;
-    default:
-      return false;  // IDiv/IRem may trap; loads handled separately
-  }
 }
 
 // Memory-SSA-lite: classes whose writes all occur at the top level, plus the
@@ -433,7 +391,7 @@ struct Hoister {
   // before the loop? Its operands are checked separately.
   bool movable(const Inst& bi, bool loopIsFork, int myTop) const {
     if (!bi.regions.empty() || bi.result < 0) return false;
-    if (hoistablePure(bi.op)) return true;
+    if (ir::hoistablePure(bi.op)) return true;
     if (bi.op == Op::Load) {
       analysis::PtrClass cls = info.ptrClass(bi.operands[0]);
       std::size_t key = cls.key();

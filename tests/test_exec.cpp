@@ -1,8 +1,9 @@
 // Differential tests for the execution backends: the lowered executor and
 // the native codegen backend must be observationally identical to the
 // tree-walking reference engine — same results, same memory effects, same
-// RunStats counters, and the same virtual clocks bit for bit. Also covers
-// the program cache (invalidation by passes, fingerprint revalidation after
+// RunStats counters, and the same virtual clocks bit for bit. The taping
+// interpreter's forward sweep must compute the same arithmetic values and
+// traps. Also covers the program cache (invalidation by passes, fingerprint revalidation after
 // in-place IR mutation) and the machine-config knobs that used to be
 // interpreter constants.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <limits>
 
+#include "src/cotape/cotape.h"
 #include "src/interp/exec.h"
 #include "src/interp/lower.h"
 #include "src/passes/passes.h"
@@ -494,6 +496,11 @@ TEST(ExecDiff, EveryArithmeticOpInEverySlot) {
         interp::RtVal::I(nI)};
     Run r;
     r.makespan = m.run({1, 1}, [&](psim::RankEnv& env) {
+      if (std::string_view(engine) == "cotape") {
+        cotape::TapeInterpreter(mod, m).gradient(mod.get("arith"), args, env,
+                                                 {}, {});
+        return;
+      }
       interp::Interpreter it(mod, m, engine);
       it.run(mod.get("arith"), args, env);
     });
@@ -509,11 +516,15 @@ TEST(ExecDiff, EveryArithmeticOpInEverySlot) {
     return r;
   };
   const Run tree = runOn("tree");
-  for (const char* eng : {"exec", "codegen"}) {
+  // The taping interpreter's forward sweep computes the same values; it also
+  // charges its tape writes, so only its clock and count differ.
+  for (const char* eng : {"exec", "codegen", "cotape"}) {
     SCOPED_TRACE(eng);
     const Run o = runOn(eng);
-    EXPECT_EQ(o.makespan, tree.makespan);
-    EXPECT_EQ(o.insts, tree.insts);
+    if (std::string_view(eng) != "cotape") {
+      EXPECT_EQ(o.makespan, tree.makespan);
+      EXPECT_EQ(o.insts, tree.insts);
+    }
     ASSERT_EQ(o.bitsF.size(), tree.bitsF.size());
     for (std::size_t k = 0; k < tree.bitsF.size(); ++k)
       ASSERT_EQ(o.bitsF[k], tree.bitsF[k])
@@ -525,7 +536,25 @@ TEST(ExecDiff, EveryArithmeticOpInEverySlot) {
 TEST(ExecDiff, IntegerDivisionOverflowTraps) {
   // INT64_MIN / -1 does not fit in an i64, and x86 raises SIGFPE for both
   // the quotient and the remainder; every engine must throw instead, from
-  // the unfused handler and from both slots of a fused pair.
+  // the unfused handler and from both slots of a fused pair, with the same
+  // message as for a zero divisor's trap. So must the taping interpreter's
+  // forward sweep (it returns no value, so only its traps are checked).
+  auto run = [](const ir::Module& mod, psim::Machine& m, const char* e,
+                i64 divisor) {
+    interp::RtVal out{};
+    m.run({1, 1}, [&](psim::RankEnv& env) {
+      std::vector<interp::RtVal> args = {interp::RtVal::I(kI64Min),
+                                         interp::RtVal::I(divisor)};
+      if (std::string_view(e) == "cotape") {
+        cotape::TapeInterpreter(mod, m).gradient(mod.get("div"), args, env,
+                                                 {}, {});
+        return;
+      }
+      interp::Interpreter it(mod, m, e);
+      out = it.run(mod.get("div"), args, env);
+    });
+    return out;
+  };
   for (ir::Op op : {ir::Op::IDiv, ir::Op::IRem}) {
     for (Slot slot : {Slot::Unfused, Slot::First, Slot::Second}) {
       ir::Module mod;
@@ -537,31 +566,27 @@ TEST(ExecDiff, IntegerDivisionOverflowTraps) {
       b.ret(q);
       b.finish();
       ir::verify(mod);
-      const std::string want = op == ir::Op::IDiv
-                                   ? "integer division overflow"
-                                   : "integer remainder overflow";
-      for (const char* e : kEngines) {
+      const std::string what =
+          op == ir::Op::IDiv ? "integer division" : "integer remainder";
+      for (const char* e : {"exec", "tree", "codegen", "cotape"}) {
         SCOPED_TRACE(std::string(e) + " " + ir::traits(op).name + " slot " +
                      std::to_string(static_cast<int>(slot)));
         psim::Machine ok;
-        interp::RtVal out{};
-        ok.run({1, 1}, [&](psim::RankEnv& env) {
-          interp::Interpreter it(mod, ok, e);
-          out = it.run(mod.get("div"),
-                       {interp::RtVal::I(kI64Min), interp::RtVal::I(-2)}, env);
-        });
-        EXPECT_EQ(out.u.i, op == ir::Op::IDiv ? kI64Min / -2 : 0);
-        psim::Machine m;
-        try {
-          m.run({1, 1}, [&](psim::RankEnv& env) {
-            interp::Interpreter it(mod, m, e);
-            it.run(mod.get("div"),
-                   {interp::RtVal::I(kI64Min), interp::RtVal::I(-1)}, env);
-          });
-          FAIL() << "expected " << want;
-        } catch (const parad::Error& ex) {
-          EXPECT_NE(std::string(ex.what()).find(want), std::string::npos)
-              << ex.what();
+        interp::RtVal out = run(mod, ok, e, -2);
+        if (std::string_view(e) != "cotape") {
+          EXPECT_EQ(out.u.i, op == ir::Op::IDiv ? kI64Min / -2 : 0);
+        }
+        for (i64 divisor : {i64(-1), i64(0)}) {
+          const std::string want =
+              what + (divisor == 0 ? " by zero" : " overflow");
+          psim::Machine m;
+          try {
+            run(mod, m, e, divisor);
+            FAIL() << "expected " << want;
+          } catch (const parad::Error& ex) {
+            EXPECT_NE(std::string(ex.what()).find(want), std::string::npos)
+                << ex.what();
+          }
         }
       }
     }

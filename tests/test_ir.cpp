@@ -1,12 +1,15 @@
 // IR structural tests: verifier rejections, printer coverage, builder
-// invariants, symbol table.
+// invariants, symbol table, and the op-class predicates read off ops.def.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/core/plan.h"
+#include "src/interp/lower.h"
 #include "src/ir/builder.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
@@ -295,4 +298,49 @@ TEST(IrSymbols, InternIsStable) {
   EXPECT_EQ(mod.symbols.intern("foo"), a);
   EXPECT_EQ(*mod.symbols.lookup(a), "foo");
   EXPECT_EQ(mod.symbols.lookup(0xdeadbeef), nullptr);
+}
+
+TEST(OpTable, PredicatesMatchParentSets) {
+  // Every op-class predicate, for every op, against the op sets the passes,
+  // the exec engine and the AD planner listed by hand before ops.def
+  // existed. The pipeline goldens cover only the ops the apps use; a wrong
+  // effect class on, say, cbrt or ftoi would pass them.
+  using ir::Op;
+  const std::set<Op> fusable = {
+      Op::FAdd,   Op::FSub,   Op::FMul,   Op::FDiv,   Op::FNeg,
+      Op::Sqrt,   Op::Sin,    Op::Cos,    Op::Exp,    Op::Log,
+      Op::Cbrt,   Op::Pow,    Op::FAbs,   Op::FMin,   Op::FMax,
+      Op::IAdd,   Op::ISub,   Op::IMul,   Op::IDiv,   Op::IRem,
+      Op::IMinOp, Op::IMaxOp, Op::ICmpEq, Op::ICmpNe, Op::ICmpLt,
+      Op::ICmpLe, Op::ICmpGt, Op::ICmpGe, Op::FCmpLt, Op::FCmpLe,
+      Op::FCmpGt, Op::FCmpGe, Op::FCmpEq, Op::BAnd,   Op::BOr,
+      Op::BNot,   Op::Select, Op::IToF,   Op::FToI,   Op::PtrOffset};
+  const std::set<Op> consts = {Op::ConstF, Op::ConstI, Op::ConstB};
+  std::set<Op> hoistable = consts;
+  for (Op op : fusable)
+    if (op != Op::IDiv && op != Op::IRem) hoistable.insert(op);
+  std::set<Op> removable = hoistable;
+  removable.insert({Op::Load, Op::ThreadIdOp, Op::NumThreadsOp, Op::MpRank,
+                    Op::MpSize});
+  std::set<Op> reEmittable = consts;
+  reEmittable.insert(fusable.begin(), fusable.end());
+  reEmittable.insert(
+      {Op::ThreadIdOp, Op::NumThreadsOp, Op::MpRank, Op::MpSize});
+  const std::set<Op> topMaterializable = {
+      Op::ConstI, Op::ConstF, Op::ConstB, Op::NumThreadsOp, Op::IAdd,
+      Op::ISub,   Op::IMul,   Op::IDiv,   Op::IRem,         Op::IMinOp,
+      Op::IMaxOp, Op::Select, Op::ICmpEq, Op::ICmpNe,       Op::ICmpLt,
+      Op::ICmpLe, Op::ICmpGt, Op::ICmpGe};
+  ASSERT_EQ(fusable.size(), 40u);
+  ASSERT_EQ(removable.size(), 46u);
+  for (int i = 0; i < ir::kNumOps; ++i) {
+    const Op op = static_cast<Op>(i);
+    SCOPED_TRACE(ir::traits(op).name);
+    EXPECT_EQ(interp::fusableOp(op), fusable.count(op) == 1);
+    EXPECT_EQ(ir::removableWhenUnused(op), removable.count(op) == 1);
+    EXPECT_EQ(ir::hoistablePure(op), hoistable.count(op) == 1);
+    EXPECT_EQ(core::reEmittableOp(op), reEmittable.count(op) == 1);
+    EXPECT_EQ(core::topMaterializableOp(op),
+              topMaterializable.count(op) == 1);
+  }
 }

@@ -196,7 +196,9 @@ TEST(ServeSoak, DestructionMidFlightAnswersEveryFuture) {
   }
   for (auto& f : futs) {
     serve::Response r = f.get();  // must not hang or throw broken_promise
-    if (!r.ok) EXPECT_FALSE(r.error.empty());
+    if (!r.ok) {
+      EXPECT_FALSE(r.error.empty());
+    }
   }
 }
 
