@@ -125,9 +125,12 @@ if [[ "${CODEGEN:-0}" == "1" ]]; then
   # a private artifact directory so runs can't poison each other's caches.
   # Then the dispatch micro-benchmark with the codegen lane enabled: the JSON
   # gains codegen_* rows and the measured codegen-over-exec ratio (reported,
-  # not gated).
+  # not gated). The artifact directory must be absolute: ctest runs the tests
+  # from $BUILD_DIR/tests, which would resolve a relative one below it.
+  codegen_dir="$BUILD_DIR/codegen-cache"
+  [[ "$codegen_dir" == /* ]] || codegen_dir="$PWD/$codegen_dir"
   PARAD_ENGINE=codegen \
-  PARAD_CODEGEN_DIR="$BUILD_DIR/codegen-cache" \
+  PARAD_CODEGEN_DIR="$codegen_dir" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
   (cd "$BUILD_DIR" && PARAD_BENCH_CODEGEN=1 bench/micro_interp \
     --benchmark_filter='^$')

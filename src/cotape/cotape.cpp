@@ -72,12 +72,11 @@ void TapeInterpreter::gradient(const ir::Function& fn,
   }
 
   // Forward (taping) sweep.
+  interp::Runtime rt(machine_, env);
   Frame f(static_cast<std::size_t>(fn.numValues()));
   for (std::size_t i = 0; i < args.size(); ++i)
     f[static_cast<std::size_t>(fn.body.args[i])].v = args[i];
-  psim::WorkerCtx w = env.main;
-  execRegion(fn, fn.body, f, env, w);
-  env.main = w;
+  execRegion(fn, fn.body, f, rt);
   machine_.stats().tapeBytes +=
       stmts_.size() * sizeof(Stmt) + comms_.size() * 64;
 
@@ -97,7 +96,7 @@ void TapeInterpreter::gradient(const ir::Function& fn,
     }
   }
 
-  reverse(env, env.main);
+  reverse(rt);
 
   // Extract input gradients (initial indices).
   for (std::size_t bi = 0; bi < inputs.size(); ++bi) {
@@ -106,10 +105,12 @@ void TapeInterpreter::gradient(const ir::Function& fn,
       machine_.mem().atF(ab.shadow, k) +=
           adjoint_[static_cast<std::size_t>(inputIdx[bi][(std::size_t)k])];
   }
+  rt.finish();
 }
 
-void TapeInterpreter::reverse(psim::RankEnv& env, psim::WorkerCtx& w) {
+void TapeInterpreter::reverse(interp::Runtime& rt) {
   const psim::CostModel& c = machine_.config().cost;
+  psim::WorkerCtx& w = rt.ts->w;
   constexpr i64 kTagShift = i64(1) << 20;
   std::size_t commIdx = comms_.size();
   int rankSocket = w.socket;
@@ -126,13 +127,12 @@ void TapeInterpreter::reverse(psim::RankEnv& env, psim::WorkerCtx& w) {
         case CommKind::Isend: {
           // Receive the adjoints of the values we sent, accumulate.
           RtPtr tmp = machine_.mem().alloc(Type::F64, cr.count, rankSocket);
-          machine_.fabric()->recv(env.rank, w, tmp, cr.count, cr.peer,
-                                  cr.tag + static_cast<int>(kTagShift));
+          rt.recv(tmp, cr.count, cr.peer, cr.tag + kTagShift);
           for (i64 k = 0; k < cr.count; ++k) {
             std::int32_t id = cr.indices[(std::size_t)k];
             if (id >= 0)
               adjoint_[(std::size_t)id] += machine_.mem().atF(tmp, k);
-            machine_.chargeMem(w, rankSocket, 8);
+            rt.chargeMem(rankSocket, 8);
           }
           machine_.mem().free(tmp);
           break;
@@ -146,10 +146,9 @@ void TapeInterpreter::reverse(psim::RankEnv& env, psim::WorkerCtx& w) {
               buf[(std::size_t)k] = adjoint_[(std::size_t)id];
               adjoint_[(std::size_t)id] = 0;
             }
-            machine_.chargeMem(w, rankSocket, 8);
+            rt.chargeMem(rankSocket, 8);
           }
-          machine_.fabric()->send(env.rank, w, buf.data(), cr.count, cr.peer,
-                                  cr.tag + static_cast<int>(kTagShift));
+          rt.send(buf.data(), cr.count, cr.peer, cr.tag + kTagShift);
           break;
         }
         case CommKind::AllreduceSum:
@@ -163,8 +162,8 @@ void TapeInterpreter::reverse(psim::RankEnv& env, psim::WorkerCtx& w) {
             }
           }
           RtPtr tmp = machine_.mem().alloc(Type::F64, cr.count, rankSocket);
-          machine_.fabric()->allreduce(env.rank, w, ir::ReduceKind::Sum,
-                                       buf.data(), tmp, cr.count);
+          rt.allreduce(buf.data(), tmp, cr.count, ir::ReduceKind::Sum,
+                       nullptr);
           for (i64 k = 0; k < cr.count; ++k) {
             std::int32_t sid = cr.sendIndices[(std::size_t)k];
             bool mine = cr.kind == CommKind::AllreduceSum ||
@@ -172,13 +171,13 @@ void TapeInterpreter::reverse(psim::RankEnv& env, psim::WorkerCtx& w) {
                          cr.won[(std::size_t)k]);
             if (sid >= 0 && mine)
               adjoint_[(std::size_t)sid] += machine_.mem().atF(tmp, k);
-            machine_.chargeMem(w, rankSocket, 8);
+            rt.chargeMem(rankSocket, 8);
           }
           machine_.mem().free(tmp);
           break;
         }
         case CommKind::Barrier:
-          machine_.fabric()->barrier(env.rank, w);
+          rt.barrier();
           break;
       }
     }
@@ -188,13 +187,13 @@ void TapeInterpreter::reverse(psim::RankEnv& env, psim::WorkerCtx& w) {
     // Tape read + random-access adjoint traffic: the CoDiPack-characteristic
     // serial overhead.
     w.advance(cfg_.tapeReadCost);
-    machine_.chargeMem(w, rankSocket, 8);  // adjoint[lhs]
+    rt.chargeMem(rankSocket, 8);  // adjoint[lhs]
     double g = adjoint_[(std::size_t)s.lhs];
     adjoint_[(std::size_t)s.lhs] = 0;
     if (g != 0) {
       for (int k = 0; k < s.nargs; ++k) {
         if (s.arg[k] < 0) continue;
-        machine_.chargeMem(w, rankSocket, 8);
+        rt.chargeMem(rankSocket, 8);
         w.advance(c.flop * 2);
         adjoint_[(std::size_t)s.arg[k]] += g * s.partial[k];
       }
@@ -204,10 +203,10 @@ void TapeInterpreter::reverse(psim::RankEnv& env, psim::WorkerCtx& w) {
 
 TapeInterpreter::Flow TapeInterpreter::execRegion(const ir::Function& fn,
                                                   const ir::Region& r,
-                                                  Frame& f, psim::RankEnv& env,
-                                                  psim::WorkerCtx& w) {
+                                                  Frame& f,
+                                                  interp::Runtime& rt) {
   for (const ir::Inst& in : r.insts)
-    if (execInst(fn, in, f, env, w) == Flow::Return) return Flow::Return;
+    if (execInst(fn, in, f, rt) == Flow::Return) return Flow::Return;
   return Flow::Normal;
 }
 
@@ -278,10 +277,11 @@ void TapeInterpreter::execArith(const ir::Inst& in, Frame& f,
 
 TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
                                                 const ir::Inst& in, Frame& f,
-                                                psim::RankEnv& env,
-                                                psim::WorkerCtx& w) {
+                                                interp::Runtime& rt) {
   const psim::CostModel& c = machine_.config().cost;
   psim::MemoryManager& mem = machine_.mem();
+  psim::RankEnv& env = rt.env;
+  psim::WorkerCtx& w = rt.ts->w;
   auto V = [&](std::size_t i) -> TapedVal& {
     return f[static_cast<std::size_t>(in.operands[i])];
   };
@@ -297,62 +297,46 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
     case Op::ConstF: out().v.u.f = in.fconst; out().idx = -1; return Flow::Normal;
     case Op::ConstI: case Op::ConstB: out().v.u.i = in.iconst; return Flow::Normal;
 
-    case Op::Alloc: {
-      i64 count = V(0).v.u.i;
-      machine_.chargeAlloc(w, count * 8);
-      out().v.u.p = mem.alloc(static_cast<Type>(in.iconst), count, w.socket);
+    case Op::Alloc:
+      out().v.u.p =
+          rt.alloc(static_cast<Type>(in.iconst), V(0).v.u.i, in.flags);
       return Flow::Normal;
-    }
     case Op::Free:
-      w.advance(c.allocBase * 0.3);
-      // Keep the object alive: its taped indices may still be needed.
+      // Charged, but the object stays alive: its taped indices may still be
+      // needed.
+      w.advance(rt.ct.freeCost);
       return Flow::Normal;
     case Op::Load: {
       RtPtr p = V(0).v.u.p;
-      const psim::MemObject& o = mem.get(p);
-      machine_.chargeMem(w, o.homeSocket, 8);
       i64 idx = V(1).v.u.i;
       TapedVal& res = out();
-      switch (o.elem) {
-        case Type::F64:
-          res.v.u.f = mem.atF(p, idx);
-          res.idx = idxOf(p)[static_cast<std::size_t>(p.off + idx)];
-          // Reading the activity index alongside the value (active type).
-          machine_.chargeMem(w, o.homeSocket, 4);
-          break;
-        case Type::I64: res.v.u.i = mem.atI(p, idx); break;
-        case Type::PtrF64: res.v.u.p = mem.atP(p, idx); break;
-        default: PARAD_UNREACHABLE("bad load elem");
+      w.advance(rt.load(p, idx, res.v));
+      const psim::MemObject& o = mem.get(p);
+      if (o.elem == Type::F64) {
+        res.idx = idxOf(p)[static_cast<std::size_t>(p.off + idx)];
+        // Reading the activity index alongside the value (active type).
+        rt.chargeMem(o.homeSocket, 4);
       }
       return Flow::Normal;
     }
     case Op::Store: {
       RtPtr p = V(0).v.u.p;
-      const psim::MemObject& o = mem.get(p);
-      machine_.chargeMem(w, o.homeSocket, 8);
       i64 idx = V(1).v.u.i;
-      switch (o.elem) {
-        case Type::F64:
-          mem.atF(p, idx) = V(2).v.u.f;
-          idxOf(p)[static_cast<std::size_t>(p.off + idx)] = V(2).idx;
-          machine_.chargeMem(w, o.homeSocket, 4);
-          break;
-        case Type::I64: mem.atI(p, idx) = V(2).v.u.i; break;
-        case Type::PtrF64: mem.atP(p, idx) = V(2).v.u.p; break;
-        default: PARAD_UNREACHABLE("bad store elem");
+      w.advance(rt.store(p, idx, V(2).v));
+      const psim::MemObject& o = mem.get(p);
+      if (o.elem == Type::F64) {
+        idxOf(p)[static_cast<std::size_t>(p.off + idx)] = V(2).idx;
+        rt.chargeMem(o.homeSocket, 4);
       }
       return Flow::Normal;
     }
     case Op::Memset0: {
       RtPtr p = V(0).v.u.p;
       i64 count = V(1).v.u.i;
-      const psim::MemObject& o = mem.get(p);
-      machine_.chargeMem(w, o.homeSocket, count * 8);
+      rt.memset0(p, count);
       auto& mi = idxOf(p);
-      for (i64 k = 0; k < count; ++k) {
-        mem.atF(p, k) = 0;
+      for (i64 k = 0; k < count; ++k)
         mi[static_cast<std::size_t>(p.off + k)] = -1;
-      }
       return Flow::Normal;
     }
 
@@ -363,7 +347,7 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
       for (std::size_t i = 0; i < in.operands.size(); ++i)
         cf[static_cast<std::size_t>(callee.body.args[i])] = V(i);
       RtVal saved = retVal_;
-      execRegion(callee, callee.body, cf, env, w);
+      execRegion(callee, callee.body, cf, rt);
       if (in.result >= 0) {
         out().v = retVal_;
         out().idx = retIdx_;
@@ -384,7 +368,7 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
       for (i64 i = lo; i < hi; ++i) {
         f[static_cast<std::size_t>(body.args[0])].v = RtVal::I(i);
         w.advance(c.loopIter);
-        if (execRegion(fn, body, f, env, w) == Flow::Return)
+        if (execRegion(fn, body, f, rt) == Flow::Return)
           return Flow::Return;
       }
       return Flow::Normal;
@@ -395,7 +379,7 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
         f[static_cast<std::size_t>(body.args[0])].v = RtVal::I(iter);
         w.advance(c.loopIter);
         yield_ = false;
-        if (execRegion(fn, body, f, env, w) == Flow::Return)
+        if (execRegion(fn, body, f, rt) == Flow::Return)
           return Flow::Return;
         if (!yield_) break;
       }
@@ -406,8 +390,7 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
       return Flow::Normal;
     case Op::If: {
       w.advance(c.intOp);
-      return execRegion(fn, V(0).v.u.i ? in.regions[0] : in.regions[1], f, env,
-                        w);
+      return execRegion(fn, V(0).v.u.i ? in.regions[0] : in.regions[1], f, rt);
     }
 
     case Op::MpRank: out().v.u.i = env.rank; return Flow::Normal;
@@ -416,14 +399,12 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
     case Op::MpSend: {
       RtPtr p = V(0).v.u.p;
       i64 count = V(1).v.u.i;
-      const psim::MemObject& o = mem.get(p);
-      PARAD_CHECK(o.elem == Type::F64 && p.off + count <= o.count,
-                  "send out of bounds");
       int dest = static_cast<int>(V(2).v.u.i);
       int tag = static_cast<int>(V(3).v.u.i);
-      psim::ReqId id =
-          machine_.fabric()->isend(env.rank, w, o.f.data() + p.off, count,
-                                   dest, tag);
+      if (in.op == Op::MpIsend)
+        out().v.u.req = rt.isend(p, count, dest, tag);
+      else
+        rt.send(p, count, dest, tag);
       CommRec cr;
       cr.kind = CommKind::Isend;
       cr.peer = dest;
@@ -433,21 +414,16 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
       cr.indices.assign(mi.begin() + p.off, mi.begin() + p.off + count);
       commAt_.push_back(stmts_.size());
       comms_.push_back(std::move(cr));
-      if (in.op == Op::MpIsend)
-        out().v.u.req = id;
-      else
-        machine_.fabric()->wait(env.rank, w, id);
       return Flow::Normal;
     }
     case Op::MpIrecv: {
       RtPtr p = V(0).v.u.p;
       i64 count = V(1).v.u.i;
-      psim::ReqId id = machine_.fabric()->irecv(
-          env.rank, w, p, count, static_cast<int>(V(2).v.u.i),
-          static_cast<int>(V(3).v.u.i));
+      int src = static_cast<int>(V(2).v.u.i);
+      int tag = static_cast<int>(V(3).v.u.i);
+      psim::ReqId id = rt.irecv(p, count, src, tag);
       out().v.u.req = id;
-      pendingRecv_[id] = {p, count, static_cast<int>(V(2).v.u.i),
-                          static_cast<int>(V(3).v.u.i)};
+      pendingRecv_[id] = {p, count, src, tag};
       return Flow::Normal;
     }
     case Op::MpRecv: {
@@ -455,13 +431,13 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
       i64 count = V(1).v.u.i;
       int src = static_cast<int>(V(2).v.u.i);
       int tag = static_cast<int>(V(3).v.u.i);
-      machine_.fabric()->recv(env.rank, w, p, count, src, tag);
+      rt.recv(p, count, src, tag);
       recordRecv(p, count, src, tag);
       return Flow::Normal;
     }
     case Op::MpWaitOp: {
       psim::ReqId id = V(0).v.u.req;
-      machine_.fabric()->wait(env.rank, w, id);
+      rt.wait(id);
       auto it = pendingRecv_.find(id);
       if (it != pendingRecv_.end()) {
         recordRecv(it->second.p, it->second.count, it->second.src,
@@ -474,15 +450,10 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
       RtPtr sp = V(0).v.u.p;
       RtPtr rp = V(1).v.u.p;
       i64 count = V(2).v.u.i;
-      const psim::MemObject& so = mem.get(sp);
-      PARAD_CHECK(so.elem == Type::F64 && sp.off + count <= so.count,
-                  "allreduce out of bounds");
       auto kind = static_cast<ir::ReduceKind>(in.iconst);
       std::vector<i64> winners;
-      machine_.fabric()->allreduce(env.rank, w, kind, so.f.data() + sp.off, rp,
-                                   count,
-                                   kind == ir::ReduceKind::Sum ? nullptr
-                                                               : &winners);
+      rt.allreduce(rt.sendBuffer(sp, count, "allreduce send"), rp, count,
+                   kind, kind == ir::ReduceKind::Sum ? nullptr : &winners);
       CommRec cr;
       cr.kind = kind == ir::ReduceKind::Sum ? CommKind::AllreduceSum
                                             : CommKind::AllreduceMinMax;
@@ -506,7 +477,7 @@ TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,
       return Flow::Normal;
     }
     case Op::MpBarrier: {
-      machine_.fabric()->barrier(env.rank, w);
+      rt.barrier();
       CommRec cr;
       cr.kind = CommKind::Barrier;
       commAt_.push_back(stmts_.size());

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/interp/interp.h"
+#include "src/interp/runtime.h"
 #include "src/ir/inst.h"
 #include "src/psim/sim.h"
 
@@ -80,17 +81,19 @@ class TapeInterpreter {
     std::int32_t idx = -1;
   };
   using Frame = std::vector<TapedVal>;
-  enum class Flow { Normal, Return };
+  using Flow = interp::Flow;
 
-  // Forward (taping) execution.
+  // Forward (taping) execution. The machine side of every op (memory,
+  // message passing, their charges and checks) is the shared
+  // interp::Runtime's; this sweep adds the tape and the comm records.
   Flow execRegion(const ir::Function& fn, const ir::Region& r, Frame& f,
-                  psim::RankEnv& env, psim::WorkerCtx& w);
+                  interp::Runtime& rt);
   Flow execInst(const ir::Function& fn, const ir::Inst& in, Frame& f,
-                psim::RankEnv& env, psim::WorkerCtx& w);
+                interp::Runtime& rt);
   // An ops.def arithmetic row's value, then its tape record.
   void execArith(const ir::Inst& in, Frame& f, psim::WorkerCtx& w);
   // Reverse sweep.
-  void reverse(psim::RankEnv& env, psim::WorkerCtx& w);
+  void reverse(interp::Runtime& rt);
 
   std::int32_t fresh() { return nextIdx_++; }
   void record1(std::int32_t lhs, std::int32_t a, double pa, psim::WorkerCtx& w);

@@ -31,7 +31,7 @@ using ir::Op;
 
 // Bumped whenever the emitter changes what it prints for the same closure:
 // part of the artifact fingerprint, so stale on-disk objects never load.
-constexpr std::uint64_t kGeneratorVersion = 3;
+constexpr std::uint64_t kGeneratorVersion = 4;
 
 // The generated code's structs must alias the host's exactly — every frame,
 // worker and return-value pointer crosses the ABI as a reinterpret_cast.
@@ -187,7 +187,7 @@ class SourceEmitter {
     fail("codegen: cost field missing from the generated cost table");
   }
   // Flushes the range's partial dispatch count and propagates Return —
-  // exactly `rr.insts += nd; return Flow::Return;` in the exec loop.
+  // exactly `rt.insts += nd; return Flow::Return;` in the exec loop.
   static constexpr const char* kPropagate = "{ *c->insts += nd; return 1; }";
 
   /// Emits an ops.def arithmetic row: its cost charge, then its statement
@@ -362,8 +362,8 @@ class SourceEmitter {
         av("GC");
         break;
 
-      // Machine-state instructions: executed host-side through the exec
-      // engine's own execComplexInst, bit-identical by construction.
+      // Machine-state instructions: decoded host-side by the exec engine's
+      // execComplexInst into Runtime calls, bit-identical by construction.
       case Op::Alloc:
       case Op::Free:
       case Op::AtomicAddF:
@@ -497,9 +497,9 @@ class CodegenArtifact {
 
 // ---------------------------------------------------------------------------
 // CodegenExecutor: the exec engine with compiled ranges swapped in. Derives
-// from Executor so run setup, calls, fork/parallel-for orchestration and
-// every machine-state instruction are literally the same code as the exec
-// backend; only frame-local dispatch is replaced.
+// from Executor so run setup, calls and the decoding of machine-state
+// instructions are the exec backend's own code; only frame-local dispatch
+// is replaced. Every host callback is a call into the run's Runtime.
 
 class CodegenExecutor final : public Executor {
  public:
@@ -508,23 +508,23 @@ class CodegenExecutor final : public Executor {
       : Executor(xm, machine), art_(std::move(art)) {}
 
  protected:
-  void beginRun(RankRun& rr) override {
+  void beginRun(Runtime& rt) override {
     for (std::size_t k = 0; k < std::size(kCgCosts); ++k)
-      costs_[k] = ct_.*kCgCosts[k].field;
-    rr_ = &rr;
+      costs_[k] = rt.ct.*kCgCosts[k].field;
+    rt_ = &rt;
     ctx_.api = &kApi;
     ctx_.ct = costs_;
-    static_assert(sizeof(rr.insts) == sizeof(unsigned long long),
+    static_assert(sizeof(rt.insts) == sizeof(unsigned long long),
                   "dispatch counter crosses the ABI as unsigned long long");
-    ctx_.insts = reinterpret_cast<unsigned long long*>(&rr.insts);
-    ctx_.ret = reinterpret_cast<parad_cg_val*>(&rr.retVal);
+    ctx_.insts = reinterpret_cast<unsigned long long*>(&rt.insts);
+    ctx_.ret = reinterpret_cast<parad_cg_val*>(&rt.retVal);
     // The yield flag is one per-run bool threaded through every nested call
     // (exec semantics); generated code reads and writes it in place so host
     // and native ranges always observe the same value.
     static_assert(sizeof(bool) == 1, "yield flag crosses the ABI as a byte");
-    ctx_.yield = reinterpret_cast<unsigned char*>(&rr.yield);
-    ctx_.rank = rr.env->rank;
-    ctx_.ranks = rr.env->ranks;
+    ctx_.yield = reinterpret_cast<unsigned char*>(&rt.yield);
+    ctx_.rank = rt.env.rank;
+    ctx_.ranks = rt.env.ranks;
     // Fixed for the whole run: kill schedules are armed before rank programs
     // start, and the watchdog config never changes mid-attempt (recovery
     // slack is applied between attempts, each with a fresh executor).
@@ -536,14 +536,14 @@ class CodegenExecutor final : public Executor {
   }
 
   Flow execRange(const ExecProgram& p, std::int32_t pc, std::int32_t end,
-                 std::int32_t trailingConsts, Frame& f, RankRun& rr) override {
+                 std::int32_t trailingConsts, Frame& f, Runtime& rt) override {
     int prog = static_cast<int>(&p - xm_.programs.data());
     int id = art_->rangeId(prog, pc, end, trailingConsts);
     if (id < 0)  // defensive: every lowered range is in the table
-      return Executor::execRange(p, pc, end, trailingConsts, f, rr);
+      return Executor::execRange(p, pc, end, trailingConsts, f, rt);
     Frame* savedFrame = frame_;
     frame_ = &f;
-    ctx_.w = reinterpret_cast<parad_cg_worker*>(&rr.ts->w);
+    ctx_.w = reinterpret_cast<parad_cg_worker*>(&rt.ts->w);
     int fl = art_->range()(&ctx_, id,
                            reinterpret_cast<parad_cg_val*>(f.data()));
     frame_ = savedFrame;
@@ -554,6 +554,7 @@ class CodegenExecutor final : public Executor {
   static CodegenExecutor& self(parad_cg_ctx* c) {
     return *static_cast<CodegenExecutor*>(c->host);
   }
+  static Runtime& rt(parad_cg_ctx* c) { return *self(c).rt_; }
   static psim::RtPtr toPtr(parad_cg_val v) {
     psim::RtPtr p;
     p.obj = v.u.p.obj;
@@ -561,70 +562,42 @@ class CodegenExecutor final : public Executor {
     return p;
   }
 
-  // Each callback mirrors the corresponding exec-engine case exactly (same
-  // charge order, same bounds-check messages).
+  // Load and Store charge the current worker's clock in memory: generated
+  // code re-reads it after every callback.
   static void cgLoad(parad_cg_ctx* c, parad_cg_val* dst, parad_cg_val ptr,
                      long long idx) {
-    CodegenExecutor& e = self(c);
-    psim::RtPtr rp = toPtr(ptr);
-    psim::MemObject& o = e.machine_.mem().get(rp);
-    e.machine_.chargeMem(e.rr_->ts->w, o.homeSocket, 8);
-    i64 k = rp.off + idx;
-    PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
-                " of ", o.count);
-    switch (o.elem) {
-      case ir::Type::F64: dst->u.f = o.f[static_cast<std::size_t>(k)]; break;
-      case ir::Type::I64: dst->u.i = o.i[static_cast<std::size_t>(k)]; break;
-      case ir::Type::PtrF64: {
-        psim::RtPtr v = o.p[static_cast<std::size_t>(k)];
-        dst->u.p.obj = v.obj;
-        dst->u.p.off = v.off;
-        break;
-      }
-      default: PARAD_UNREACHABLE("bad load elem");
-    }
+    Runtime& r = rt(c);
+    r.ts->w.advance(r.load(toPtr(ptr), idx, *reinterpret_cast<RtVal*>(dst)));
   }
   static void cgStore(parad_cg_ctx* c, parad_cg_val ptr, long long idx,
                       parad_cg_val v) {
-    CodegenExecutor& e = self(c);
-    psim::RtPtr rp = toPtr(ptr);
-    psim::MemObject& o = e.machine_.mem().get(rp);
-    e.machine_.chargeMem(e.rr_->ts->w, o.homeSocket, 8);
-    i64 k = rp.off + idx;
-    PARAD_CHECK(k >= 0 && k < o.count, "access out of bounds: index ", k,
-                " of ", o.count);
-    switch (o.elem) {
-      case ir::Type::F64: o.f[static_cast<std::size_t>(k)] = v.u.f; break;
-      case ir::Type::I64: o.i[static_cast<std::size_t>(k)] = v.u.i; break;
-      case ir::Type::PtrF64:
-        o.p[static_cast<std::size_t>(k)] = toPtr(v);
-        break;
-      default: PARAD_UNREACHABLE("bad store elem");
-    }
+    Runtime& r = rt(c);
+    RtVal val;
+    std::memcpy(static_cast<void*>(&val), &v, sizeof val);
+    r.ts->w.advance(r.store(toPtr(ptr), idx, val));
   }
   static void cgCall(parad_cg_ctx* c, parad_cg_val* out, int callee,
                      const parad_cg_val* args, int nargs) {
     CodegenExecutor& e = self(c);
     const ExecProgram& cp = e.xm_.programs[static_cast<std::size_t>(callee)];
     RtVal r = e.callProgram(cp, reinterpret_cast<const RtVal*>(args),
-                            static_cast<std::size_t>(nargs), *e.rr_);
+                            static_cast<std::size_t>(nargs), *e.rt_);
     std::memcpy(out, &r, sizeof r);
   }
+  // Never reports a Return: a return out of a parallel or task body fails.
   static int cgComplex(parad_cg_ctx* c, parad_cg_val* frame, int prog,
                        int inst) {
     CodegenExecutor& e = self(c);
     (void)frame;  // e.frame_ aliases it (asserted by construction)
     const ExecProgram& p = e.xm_.programs[static_cast<std::size_t>(prog)];
-    const ExecInst& in = p.code[static_cast<std::size_t>(inst)];
-    Flow fl = e.execComplexInst(p, in, *e.frame_, *e.rr_);
-    return fl == Flow::Return ? 1 : 0;
+    e.execComplexInst(p, p.code[static_cast<std::size_t>(inst)], *e.frame_,
+                      *e.rt_);
+    return 0;
   }
-  static int cgTid(parad_cg_ctx* c) { return self(c).rr_->ts->tid; }
-  static int cgNthreads(parad_cg_ctx* c) { return self(c).rr_->ts->nthreads; }
+  static int cgTid(parad_cg_ctx* c) { return rt(c).ts->tid; }
+  static int cgNthreads(parad_cg_ctx* c) { return rt(c).ts->nthreads; }
   static int cgNthreadsDefault(parad_cg_ctx* c) {
-    CodegenExecutor& e = self(c);
-    int n = e.rr_->ts->nthreads;
-    return n > 1 ? n : e.rr_->env->threadsPerRank;
+    return rt(c).numThreadsDefault();
   }
   static void cgTrap(parad_cg_ctx* c, int trapIndex) {
     CodegenExecutor& e = self(c);
@@ -634,26 +607,14 @@ class CodegenExecutor final : public Executor {
     (void)c;
     fail(msg);
   }
-  static void cgProbe(parad_cg_ctx* c) {
-    CodegenExecutor& e = self(c);
-    RankRun& rr = *e.rr_;
-    // Same order as the exec engine's range exit: kill probe (root thread
-    // only), then the dispatch watchdog, then the virtual-time watchdog.
-    if (rr.ts == rr.root) e.machine_.checkKill(rr.env->rank, rr.ts->w.clock);
-    std::uint64_t wd = e.machine_.config().watchdogInsts;
-    if (wd != 0 && rr.insts > wd)
-      e.machine_.failWatchdog(rr.env->rank, rr.insts, rr.ts->w.clock);
-    double tb = e.machine_.watchdogTimeBound();
-    if (tb > 0 && rr.ts->w.clock > tb)
-      e.machine_.failWatchdogTime(rr.env->rank, rr.ts->w.clock);
-  }
+  static void cgProbe(parad_cg_ctx* c) { rt(c).probe(); }
 
   static const parad_cg_api kApi;
 
   std::shared_ptr<const CodegenArtifact> art_;
   parad_cg_ctx ctx_{};
   double costs_[PARAD_CG_CT_COUNT] = {};
-  RankRun* rr_ = nullptr;
+  Runtime* rt_ = nullptr;
   Frame* frame_ = nullptr;
 };
 

@@ -10,10 +10,11 @@
 // exec engine's evaluation order and per-op clock charges inlined. Anything
 // that touches machine state beyond the frame (memory objects, fabric,
 // fork/task orchestration, kill probes, watchdogs) calls back into the host
-// through the C ABI in codegen_abi.h; the callbacks reuse the exec engine's
-// own implementations (Executor::execComplexInst, callProgram), so values,
-// gradients, RunStats and virtual clocks are bit-identical to the exec and
-// tree engines by construction. Generated code is compiled with
+// through the C ABI in codegen_abi.h; each callback is a call into the
+// run's machine Runtime (runtime.h), through the exec engine's operand
+// decoding (Executor::execComplexInst, callProgram) where there is any, so
+// values, gradients, RunStats and virtual clocks are bit-identical to the
+// exec and tree engines by construction. Generated code is compiled with
 // -ffp-contract=off and no -march so its FP arithmetic rounds exactly like
 // the host-compiled engines.
 //

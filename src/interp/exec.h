@@ -1,20 +1,18 @@
-// Execution layer of the pipeline (DESIGN.md §9): a tight dispatch loop over
-// the flat ExecProgram produced by lower.h.
+// Execution layer of the pipeline (DESIGN.md §9): a direct-threaded
+// dispatch loop over the flat ExecProgram produced by lower.h.
 //
-// The Executor mirrors the tree-walking reference engine case for case —
-// same charge formulas (via the psim::CostTable folded per MachineConfig),
-// same worker bookkeeping order, same deterministic parallel semantics — so
-// results, memory, RunStats and virtual clocks are bit-identical, while the
-// per-instruction overhead (heap-allocated operand vectors, pointer-chasing
-// across tree nodes, defined-set map lookups) is gone: operands are inline
+// The Executor owns how lowered code is walked: operands are inline frame
 // slots, fork barrier segments and per-thread value sets are precompiled,
-// and callees are pre-resolved program indices.
+// and callees are pre-resolved program indices. Everything an instruction
+// does to the machine (memory, tasks, message passing, thread teams, the
+// range-exit probe, the run's prologue and epilogue) is a call into the
+// per-rank Runtime (runtime.h), the same calls the tree walker and the
+// codegen backend make, so results, memory, RunStats and virtual clocks are
+// bit-identical across engines.
 //
 // The codegen backend (src/interp/codegen.*) derives from Executor and
-// overrides execRange to dispatch into natively-compiled range functions;
-// everything structural (run setup, calls, fork/parallel-for orchestration,
-// machine-state instructions via execComplexInst) is shared, which is what
-// keeps the backends bit-identical by construction.
+// overrides execRange to dispatch into natively compiled range functions;
+// its host callbacks reuse callProgram and execComplexInst.
 #pragma once
 
 #include <cstdint>
@@ -22,45 +20,23 @@
 
 #include "src/interp/interp.h"
 #include "src/interp/lower.h"
+#include "src/interp/runtime.h"
 
 namespace parad::interp {
 
 class Executor {
  public:
   Executor(const ExecModule& xm, psim::Machine& machine)
-      : xm_(xm), machine_(machine), ct_(machine.config().cost) {}
+      : xm_(xm), machine_(machine) {}
   virtual ~Executor() = default;
 
   /// Runs the module's entry program as the given rank's program.
   RtVal run(std::vector<RtVal> args, psim::RankEnv& env);
 
  protected:
-  struct ThreadState {
-    psim::WorkerCtx w;
-    int tid = 0;
-    int nthreads = 1;
-  };
-  struct TaskRec {
-    double endTime = 0;
-  };
-  using Frame = std::vector<RtVal>;
-  struct RankRun {  // mutable per-rank execution state
-    psim::RankEnv* env = nullptr;
-    ThreadState* ts = nullptr;    // current virtual thread
-    ThreadState* root = nullptr;  // the rank's main thread (kill-probe gate)
-    std::vector<TaskRec> tasks;
-    std::vector<double> taskWorkerFree;
-    std::vector<Frame> framePool;  // recycled call frames (capacity reuse)
-    RtVal retVal{};
-    bool yield = false;
-    int callDepth = 0;
-    std::uint64_t insts = 0;  // dispatched instructions (flushed to RunStats)
-  };
-  enum class Flow { Normal, Return };
-
-  /// Hook for derived engines: called once per run after the RankRun is set
-  /// up and before the entry block executes.
-  virtual void beginRun(RankRun& rr) { (void)rr; }
+  /// Hook for derived engines: called once per run after the Runtime is
+  /// set up and before the entry block executes.
+  virtual void beginRun(Runtime& rt) { (void)rt; }
 
   /// Executes [pc, end); `trailingConsts` is the number of folded constant
   /// instructions after the last kept one, counted on normal exit so the
@@ -68,31 +44,34 @@ class Executor {
   /// backend redirects ranges it compiled into native functions.
   virtual Flow execRange(const ExecProgram& p, std::int32_t pc,
                          std::int32_t end, std::int32_t trailingConsts,
-                         Frame& f, RankRun& rr);
+                         Frame& f, Runtime& rt);
   Flow execBlock(const ExecProgram& p, std::int32_t blockId, Frame& f,
-                 RankRun& rr) {
+                 Runtime& rt) {
     const ExecBlock& b = p.blocks[static_cast<std::size_t>(blockId)];
-    return execRange(p, b.begin, b.end, b.trailingConsts, f, rr);
+    return execRange(p, b.begin, b.end, b.trailingConsts, f, rt);
   }
-  Flow execFork(const ExecProgram& p, const ExecInst& in, Frame& f,
-                RankRun& rr);
-  Flow execParallelFor(const ExecProgram& p, const ExecInst& in, Frame& f,
-                       RankRun& rr);
+  /// Runs a block that must complete normally (a parallel or task body);
+  /// a Return out of it fails with "return out of a <what>".
+  void execBody(const ExecProgram& p, std::int32_t blockId, Frame& f,
+                Runtime& rt, const char* what);
   RtVal callProgram(const ExecProgram& callee, const RtVal* args,
-                    std::size_t nArgs, RankRun& rr);
+                    std::size_t nArgs, Runtime& rt);
 
-  /// Executes one machine-state instruction (alloc/free/atomics/memset,
-  /// spawn/sync, message passing, fork, parallel for, boxed allocs) — the
-  /// single implementation both the dispatch loop and the codegen
-  /// backend's complex-op callback funnel through, so every backend charges
-  /// and mutates machine state identically. Does NOT touch rr.insts: the
-  /// caller owns dispatch counting.
-  Flow execComplexInst(const ExecProgram& p, const ExecInst& in, Frame& f,
-                       RankRun& rr);
+  /// Decodes one machine-state instruction (alloc/free/atomics/memset,
+  /// spawn/sync, message passing, fork, parallel for, workshare, boxed
+  /// allocs) into its Runtime call: the one path both the dispatch loop and
+  /// the codegen backend's complex-op callback take. Out of line, so the
+  /// lambdas the team calls take leave execRange's registers alone. Does
+  /// NOT touch rt.insts: the caller owns dispatch counting.
+  void execComplexInst(const ExecProgram& p, const ExecInst& in, Frame& f,
+                       Runtime& rt);
 
   const ExecModule& xm_;
   psim::Machine& machine_;
-  psim::CostTable ct_;
+
+ private:
+  void execFork(const ExecProgram& p, const ExecInst& in, Frame& f,
+                Runtime& rt);
 };
 
 }  // namespace parad::interp

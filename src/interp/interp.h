@@ -13,14 +13,18 @@
 //   * message-passing ops call into the fabric, cooperatively yielding the
 //     rank when a wait cannot complete yet.
 //
-// Execution is staged (DESIGN.md §9, §13): src/interp/lower.* compiles a
-// function closure once into a flat ExecProgram (pre-resolved operand slots,
-// folded cost charges, pre-split fork barrier segments, jump-addressed
-// blocks). Engines are the ExecBackend implementations of a fixed engine
-// table (src/interp/backend.h): "exec" dispatches the lowered program, "tree" is the recursive reference engine, and "codegen"
-// emits the lowered program as C++ and runs it natively through the host
-// compiler (src/interp/codegen.*). All engines produce bit-identical
-// results, memory, statistics and virtual clocks.
+// Execution is split in two (DESIGN.md §9, §13). What an instruction does
+// to the machine (memory ops and their bounds check, tasks, message passing,
+// thread teams, the range-exit probe, per-rank state) is written once, in
+// the per-rank machine runtime (src/interp/runtime.*). How instructions are
+// walked is each engine's own. Engines are the ExecBackend implementations
+// of a fixed engine table (src/interp/backend.h): "exec" dispatches the flat
+// ExecProgram that src/interp/lower.* compiles a function closure into once
+// (pre-resolved operand slots, folded cost charges, pre-split fork barrier
+// segments, jump-addressed blocks), "tree" is the recursive reference engine
+// over the IR, and "codegen" emits the lowered program as C++ and runs it
+// natively through the host compiler (src/interp/codegen.*). All engines
+// produce bit-identical results, memory, statistics and virtual clocks.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,13 @@
 #include "src/passes/passes.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/analysis/fninfo.h"
+#include "src/interp/interp.h"
 #include "src/interp/lower.h"
 #include "src/ir/verifier.h"
 #include "src/ir/printer.h"
@@ -218,11 +220,27 @@ void lowerOmp(ir::Module& mod, const std::string& fn) {
 
 namespace {
 
-struct ConstVal {
-  bool isF = false;
-  double f = 0;
-  i64 i = 0;
-};
+// A folded constant is a runtime value, so ops.def's value statements read
+// and write it as they do in the engines.
+using ConstVal = interp::RtVal;
+
+// The value of arithmetic op `op` on constant operands: its ops.def
+// statement, so folding computes exactly what every engine would.
+ConstVal evalArith(Op op, const ConstVal& A, const ConstVal& B) {
+  static const ConstVal C{};
+  ConstVal R;
+  switch (op) {
+#define PARAD_OP(...)
+#define PARAD_ARITH(Id, name, effect, cost, sig, ...) \
+    case Op::Id: {                                    \
+      __VA_ARGS__;                                    \
+      break;                                          \
+    }
+#include "src/ir/ops.def"
+    default: PARAD_UNREACHABLE("non-arithmetic op in evalArith");
+  }
+  return R;
+}
 
 bool foldRegion(ir::Function& f, Region& r,
                 std::unordered_map<int, ConstVal>& consts) {
@@ -234,41 +252,26 @@ bool foldRegion(ir::Function& f, Region& r,
       return it == consts.end() ? nullptr : &it->second;
     };
     switch (in.op) {
-      case Op::ConstF: consts[in.result] = {true, in.fconst, 0}; break;
+      case Op::ConstF: consts[in.result].u.f = in.fconst; break;
       case Op::ConstI:
-      case Op::ConstB: consts[in.result] = {false, 0, in.iconst}; break;
+      case Op::ConstB: consts[in.result].u.i = in.iconst; break;
+      // The folded set: i64 add, sub, mul, min and max, f64 add, sub, mul.
       case Op::IAdd: case Op::ISub: case Op::IMul:
-      case Op::IMinOp: case Op::IMaxOp: {
-        const ConstVal* a = ci(0);
-        const ConstVal* b = ci(1);
-        if (a && b) {
-          i64 v = 0;
-          switch (in.op) {
-            case Op::IAdd: v = a->i + b->i; break;
-            case Op::ISub: v = a->i - b->i; break;
-            case Op::IMul: v = a->i * b->i; break;
-            case Op::IMinOp: v = a->i < b->i ? a->i : b->i; break;
-            default: v = a->i > b->i ? a->i : b->i; break;
-          }
-          in.op = Op::ConstI;
-          in.iconst = v;
-          in.operands.clear();
-          consts[in.result] = {false, 0, v};
-          changed = true;
-        }
-        break;
-      }
+      case Op::IMinOp: case Op::IMaxOp:
       case Op::FAdd: case Op::FSub: case Op::FMul: {
         const ConstVal* a = ci(0);
         const ConstVal* b = ci(1);
         if (a && b) {
-          double v = in.op == Op::FAdd   ? a->f + b->f
-                     : in.op == Op::FSub ? a->f - b->f
-                                         : a->f * b->f;
-          in.op = Op::ConstF;
-          in.fconst = v;
+          ConstVal v = evalArith(in.op, *a, *b);
+          if (in.op == Op::FAdd || in.op == Op::FSub || in.op == Op::FMul) {
+            in.op = Op::ConstF;
+            in.fconst = v.u.f;
+          } else {
+            in.op = Op::ConstI;
+            in.iconst = v.u.i;
+          }
           in.operands.clear();
-          consts[in.result] = {true, v, 0};
+          consts[in.result] = v;
           changed = true;
         }
         break;

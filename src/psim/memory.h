@@ -62,6 +62,14 @@ struct MemObject {
   }
 
   i64 bytes() const { return count * 8; }
+
+  /// Bounds check of element `k`: the one check, with one message, of every
+  /// element access (the engines' and the host accessors' below).
+  std::size_t index(i64 k) const {
+    PARAD_CHECK(k >= 0 && k < count, "access out of bounds: index ", k,
+                " of ", count);
+    return static_cast<std::size_t>(k);
+  }
 };
 
 class MemoryManager {
@@ -114,25 +122,16 @@ class MemoryManager {
 
   /// Bounds-checked element accessors (f64 / i64 / ptr storage).
   double& atF(RtPtr p, i64 idx) {
-    MemObject& o = get(p);
-    i64 k = p.off + idx;
-    PARAD_CHECK(o.elem == ir::Type::F64 && k >= 0 && k < o.count,
-                "f64 access out of bounds: index ", k, " of ", o.count);
-    return o.f[static_cast<std::size_t>(k)];
+    MemObject& o = typed(p, ir::Type::F64);
+    return o.f[o.index(p.off + idx)];
   }
   i64& atI(RtPtr p, i64 idx) {
-    MemObject& o = get(p);
-    i64 k = p.off + idx;
-    PARAD_CHECK(o.elem == ir::Type::I64 && k >= 0 && k < o.count,
-                "i64 access out of bounds: index ", k, " of ", o.count);
-    return o.i[static_cast<std::size_t>(k)];
+    MemObject& o = typed(p, ir::Type::I64);
+    return o.i[o.index(p.off + idx)];
   }
   RtPtr& atP(RtPtr p, i64 idx) {
-    MemObject& o = get(p);
-    i64 k = p.off + idx;
-    PARAD_CHECK(o.elem == ir::Type::PtrF64 && k >= 0 && k < o.count,
-                "ptr access out of bounds: index ", k, " of ", o.count);
-    return o.p[static_cast<std::size_t>(k)];
+    MemObject& o = typed(p, ir::Type::PtrF64);
+    return o.p[o.index(p.off + idx)];
   }
 
   std::size_t numObjects() const { return objects_.size(); }
@@ -155,6 +154,13 @@ class MemoryManager {
   void setLiveBytes(std::uint64_t b) { liveBytes_ = b; }
 
  private:
+  MemObject& typed(RtPtr p, ir::Type elem) {
+    MemObject& o = get(p);
+    PARAD_CHECK(o.elem == elem, "element type mismatch (object id ", p.obj,
+                ")");
+    return o;
+  }
+
   std::vector<std::unique_ptr<MemObject>> objects_;
   RunStats& stats_;
   std::uint64_t liveBytes_ = 0;

@@ -326,12 +326,11 @@ const double kFloatEdges[kEdges] = {
 const double kTruncEdges[kEdges] = {
     -0.0, std::numeric_limits<double>::denorm_min(), 0.999, -0.999, 2.5,
     -2.5, 123456789.75, 1e15, -1e18, 9.2e18};
-// Any sum, difference or product of two fits in an i64 (3037000499 is
-// floor(sqrt(2^63))).
+// Small values on both sides of zero; their signs pick the i1 operands.
 const i64 kSmallInts[kEdges] = {0,          1,          -1,          7,
                                 -13,        65536,      -123457,     2147483647,
                                 3037000499, -3037000499};
-// Full-range values for the ops that cannot overflow on them.
+// Full-range values. iadd, isub and imul wrap on the pairs that overflow.
 const i64 kBigInts[kEdges] = {kI64Min,
                               kI64Max,
                               kI64Min + 1,
@@ -381,8 +380,8 @@ TEST(ExecDiff, EveryArithmeticOpInEverySlot) {
         {Op::Exp, {fa}, Type::F64},         {Op::Log, {fa}, Type::F64},
         {Op::Pow, {fa, fb}, Type::F64},     {Op::FAbs, {fa}, Type::F64},
         {Op::FMin, {fa, fb}, Type::F64},    {Op::FMax, {fa, fb}, Type::F64},
-        {Op::Cbrt, {fa}, Type::F64},        {Op::IAdd, {sa, sb}, Type::I64},
-        {Op::ISub, {sa, sb}, Type::I64},    {Op::IMul, {sa, sb}, Type::I64},
+        {Op::Cbrt, {fa}, Type::F64},        {Op::IAdd, {ga, gb}, Type::I64},
+        {Op::ISub, {ga, gb}, Type::I64},    {Op::IMul, {ga, gb}, Type::I64},
         {Op::IDiv, {ga, gd}, Type::I64},    {Op::IRem, {ga, gd}, Type::I64},
         {Op::IMinOp, {ga, gb}, Type::I64},  {Op::IMaxOp, {ga, gb}, Type::I64},
         {Op::ICmpEq, {ga, gb}, Type::I1},   {Op::ICmpNe, {ga, gb}, Type::I1},
@@ -516,6 +515,18 @@ TEST(ExecDiff, EveryArithmeticOpInEverySlot) {
     return r;
   };
   const Run tree = runOn("tree");
+  // iadd, isub and imul are the first i64 columns (each in its three
+  // slots) and wrap in two's complement.
+  for (i64 k = 0; k < kRows; ++k) {
+    const auto a = static_cast<std::uint64_t>(kBigInts[k / kEdges]);
+    const auto c = static_cast<std::uint64_t>(kBigInts[k % kEdges]);
+    const std::uint64_t want[3] = {a + c, a - c, a * c};
+    for (int col = 0; col < 9; ++col)
+      ASSERT_EQ(static_cast<std::uint64_t>(
+                    tree.valsI[static_cast<std::size_t>(k * nI + col)]),
+                want[col / 3])
+          << "row " << k << " column " << col;
+  }
   // The taping interpreter's forward sweep computes the same values; it also
   // charges its tape writes, so only its clock and count differ.
   for (const char* eng : {"exec", "codegen", "cotape"}) {
@@ -596,7 +607,8 @@ TEST(ExecDiff, IntegerDivisionOverflowTraps) {
 TEST(ExecDiff, MessageSendsRejectOutOfBoundsBuffers) {
   // A send buffer that starts before its object (or an allreduce with a
   // negative count) must fail the bounds check, not copy from before the
-  // object's storage.
+  // object's storage. The taping interpreter's forward sweep sends through
+  // the same check.
   enum class Kind { Isend, Send, Allreduce, AllreduceNegativeCount };
   for (Kind kind : {Kind::Isend, Kind::Send, Kind::Allreduce,
                     Kind::AllreduceNegativeCount}) {
@@ -628,21 +640,83 @@ TEST(ExecDiff, MessageSendsRejectOutOfBoundsBuffers) {
     b.ret(b.load(recv, b.constI(0)));
     b.finish();
     ir::verify(mod);
-    for (const char* e : kEngines) {
+    const char* want =
+        kind == Kind::Isend  ? "isend buffer out of bounds"
+        : kind == Kind::Send ? "send buffer out of bounds"
+                             : "allreduce send buffer out of bounds";
+    for (const char* e : {"exec", "tree", "codegen", "cotape"}) {
       SCOPED_TRACE(std::string(e) + " case " +
                    std::to_string(static_cast<int>(kind)));
       psim::Machine m;
       try {
         m.run({2, 1}, [&](psim::RankEnv& env) {
+          if (std::string_view(e) == "cotape") {
+            cotape::TapeInterpreter(mod, m).gradient(mod.get("mp"), {}, env,
+                                                     {}, {});
+            return;
+          }
           interp::Interpreter it(mod, m, e);
           it.run(mod.get("mp"), {}, env);
         });
         FAIL() << "expected an out-of-bounds send buffer to be rejected";
       } catch (const parad::Error& ex) {
-        EXPECT_NE(std::string(ex.what()).find("out of bounds"),
-                  std::string::npos)
+        EXPECT_NE(std::string(ex.what()).find(want), std::string::npos)
             << ex.what();
       }
+    }
+  }
+}
+
+TEST(ExecDiff, OutOfBoundsMemoryOpsFailAlike) {
+  // Every engine runs memory ops through one bounds check: each bad access
+  // fails with the same message and leaves the object as it was (a memset
+  // that runs past its object writes nothing, not the elements before).
+  enum class Kind { Memset, Atomic, Load, Store };
+  struct Case {
+    Kind kind;
+    i64 at;  // the element offset of the access (memset: of its start)
+  };
+  const std::vector<double> init = {1, 2, 3, 4};
+  for (Case c : {Case{Kind::Memset, 2}, Case{Kind::Memset, -1},
+                 Case{Kind::Atomic, 4}, Case{Kind::Atomic, -1},
+                 Case{Kind::Load, 4}, Case{Kind::Load, -1},
+                 Case{Kind::Store, 4}, Case{Kind::Store, -1}}) {
+    ir::Module mod;
+    ir::FunctionBuilder b(mod, "bad", {Type::PtrF64}, Type::F64);
+    auto buf = b.param(0);
+    auto at = b.constI(c.at);
+    ir::Value out = b.constF(0);
+    switch (c.kind) {
+      case Kind::Memset: b.memset0(b.ptrOffset(buf, at), b.constI(4)); break;
+      case Kind::Atomic: b.atomicAddF(buf, at, b.constF(10)); break;
+      case Kind::Load: out = b.load(buf, at); break;
+      case Kind::Store: b.store(buf, at, b.constF(10)); break;
+    }
+    b.ret(out);
+    b.finish();
+    ir::verify(mod);
+    std::string first;
+    for (const char* e : kEngines) {
+      SCOPED_TRACE(std::string(e) + " case " +
+                   std::to_string(static_cast<int>(c.kind)) + " at " +
+                   std::to_string(c.at));
+      psim::Machine m;
+      psim::RtPtr p = makeF64(m, init);
+      try {
+        m.run({1, 1}, [&](psim::RankEnv& env) {
+          interp::Interpreter(mod, m, e).run(mod.get("bad"),
+                                             {interp::RtVal::P(p)}, env);
+        });
+        ADD_FAILURE() << "expected an out-of-bounds access to fail";
+      } catch (const parad::Error& ex) {
+        std::string msg = ex.what();
+        EXPECT_NE(msg.find("access out of bounds"), std::string::npos) << msg;
+        if (first.empty()) first = msg;
+        EXPECT_EQ(msg, first);
+      }
+      for (i64 k = 0; k < 4; ++k)
+        EXPECT_EQ(m.mem().atF(p, k), init[static_cast<std::size_t>(k)])
+            << "element " << k;
     }
   }
 }

@@ -183,13 +183,13 @@ TEST(Fingerprint, AppFunctionsAndTheirClosures) {
   EXPECT_EQ(interp::fingerprint(bude.get("bude")), 11304693426833195575ull);
   apps::lulesh::prepare(lulesh);
   apps::minibude::prepare(bude);
-  // Closure fingerprints also hash the codegen generator version (now 3).
+  // Closure fingerprints also hash the codegen generator version (now 4).
   EXPECT_EQ(interp::closureFingerprint(
                 *interp::compileClosure(lulesh, lulesh.get("lulesh"))),
-            7274700652963898611ull);
+            413674374467826004ull);
   EXPECT_EQ(interp::closureFingerprint(
                 *interp::compileClosure(bude, bude.get("bude"))),
-            9196607689033581642ull);
+            5368220224312898149ull);
 }
 
 // ---------------------------------------------------------------------------
