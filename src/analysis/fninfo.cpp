@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/ir/derivatives.h"
 #include "src/support/common.h"
 
 namespace parad::analysis {
@@ -204,12 +205,10 @@ void FnInfo::activity(const std::vector<bool>& activeArg) {
             if (classVaried(ptrClass_[(std::size_t)in.operands[0]]))
               mark(in.result);
             break;
-          case Op::IToF:
-            break;  // integers never carry derivatives
           case Op::ConstF:
             break;
           default:
-            if (anyOpVaried) mark(in.result);
+            if (anyOpVaried && !ir::noDerivative(in.op)) mark(in.result);
             break;
         }
       }

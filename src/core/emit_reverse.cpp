@@ -5,6 +5,7 @@
 // reduction slot / atomic, §VI-A1); every primal value is recovered the way
 // its CacheDecision dictates (recompute / slot / cache array load).
 #include "src/core/grad_internal.h"
+#include "src/ir/derivatives.h"
 
 namespace parad::core::detail {
 
@@ -252,130 +253,6 @@ void GradGen::emitReverseInst(const ir::Inst& in, RevScope& scope) {
   auto R = [&](std::size_t i) { return resolve(in.operands[i], scope); };
 
   switch (in.op) {
-    // ---- f64 arithmetic adjoints ----
-    case Op::FAdd: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      adjointAdd(in.operands[0], g, scope);
-      adjointAdd(in.operands[1], g, scope);
-      return;
-    }
-    case Op::FSub: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      adjointAdd(in.operands[0], g, scope);
-      adjointAdd(in.operands[1], b_->fneg(g), scope);
-      return;
-    }
-    case Op::FMul: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      if (varied(in.operands[0]))
-        adjointAdd(in.operands[0], b_->fmul(g, R(1)), scope);
-      if (varied(in.operands[1]))
-        adjointAdd(in.operands[1], b_->fmul(g, R(0)), scope);
-      return;
-    }
-    case Op::FDiv: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      if (varied(in.operands[0]))
-        adjointAdd(in.operands[0], b_->fdiv(g, R(1)), scope);
-      if (varied(in.operands[1])) {
-        Value bb = R(1);
-        adjointAdd(in.operands[1],
-                   b_->fneg(b_->fdiv(b_->fmul(b_->fdiv(g, bb), R(0)), bb)),
-                   scope);
-      }
-      return;
-    }
-    case Op::FNeg: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      adjointAdd(in.operands[0], b_->fneg(g), scope);
-      return;
-    }
-    case Op::Sqrt: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      Value res = resolve(in.result, scope);
-      adjointAdd(in.operands[0],
-                 b_->fdiv(b_->fmul(g, b_->constF(0.5)), res), scope);
-      return;
-    }
-    case Op::Sin: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      adjointAdd(in.operands[0], b_->fmul(g, b_->cos_(R(0))), scope);
-      return;
-    }
-    case Op::Cos: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      adjointAdd(in.operands[0], b_->fneg(b_->fmul(g, b_->sin_(R(0)))), scope);
-      return;
-    }
-    case Op::Exp: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      adjointAdd(in.operands[0], b_->fmul(g, resolve(in.result, scope)),
-                 scope);
-      return;
-    }
-    case Op::Log: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      adjointAdd(in.operands[0], b_->fdiv(g, R(0)), scope);
-      return;
-    }
-    case Op::Cbrt: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      Value res = resolve(in.result, scope);
-      // d cbrt(x)/dx = 1 / (3 cbrt(x)^2)
-      adjointAdd(in.operands[0],
-                 b_->fdiv(g, b_->fmul(b_->constF(3), b_->fmul(res, res))),
-                 scope);
-      return;
-    }
-    case Op::Pow: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      if (varied(in.operands[0])) {
-        Value a = R(0), e = R(1);
-        // da: g * e * a^(e-1)
-        adjointAdd(
-            in.operands[0],
-            b_->fmul(g, b_->fmul(e, b_->pow_(a, b_->fsub(e, b_->constF(1))))),
-            scope);
-      }
-      if (varied(in.operands[1])) {
-        Value a = R(0), res = resolve(in.result, scope);
-        // de: g * res * log(a)
-        adjointAdd(in.operands[1], b_->fmul(g, b_->fmul(res, b_->log_(a))),
-                   scope);
-      }
-      return;
-    }
-    case Op::FAbs: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      Value x = R(0);
-      adjointAdd(in.operands[0],
-                 b_->select(b_->flt(x, b_->constF(0)), b_->fneg(g), g), scope);
-      return;
-    }
-    case Op::FMin:
-    case Op::FMax: {
-      Value g = consumed();
-      if (!g.valid()) return;
-      Value a = R(0), bb = R(1);
-      Value takeA = in.op == Op::FMin ? b_->fle(a, bb) : b_->fge(a, bb);
-      Value zero = b_->constF(0);
-      adjointAdd(in.operands[0], b_->select(takeA, g, zero), scope);
-      adjointAdd(in.operands[1], b_->select(takeA, zero, g), scope);
-      return;
-    }
     case Op::Select: {
       if (in.result < 0 || p_.typeOf(in.result) != Type::F64) return;
       Value g = consumed();
@@ -531,10 +408,39 @@ void GradGen::emitReverseInst(const ir::Inst& in, RevScope& scope) {
     }
 
     default:
+      if (ir::hasDerivative(in.op)) {
+        emitArithAdjoint(in, scope);
+        return;
+      }
+      if (in.result >= 0 && p_.typeOf(in.result) == Type::F64 &&
+          varied(in.result))
+        ir::requireDerivative(in.op);  // throws: a varied f64 needs a rule
       // Integer ops, conversions, constants, allocations, pointer ops,
       // thread queries: no adjoint. Consume any stray register.
       if (in.result >= 0) adjReg_.erase(in.result);
       return;
+  }
+}
+
+void GradGen::emitArithAdjoint(const ir::Inst& in, RevScope& scope) {
+  Value g = consumeAdjoint(in.result, scope);
+  if (!g.valid()) return;
+  ir::IrRules m(*b_, [&](int k) {
+    return resolve(k < 2 ? in.operands[(std::size_t)k] : in.result, scope);
+  });
+  // A rule is expanded for a varied operand, and for a constant one whose
+  // rule reads just what a varied sibling's does (fsub, fmin, fmax). That
+  // contribution is dead and cleanup drops it; it is still emitted because
+  // the printed gradients pinned in tests/test_passes.cpp number their
+  // values with it.
+  int n = static_cast<int>(in.operands.size());
+  for (int i = 0; i < n; ++i) {
+    int v = in.operands[(std::size_t)i];
+    bool expand = varied(v);
+    for (int j = 0; j < n && !expand; ++j)
+      expand = j != i && varied(in.operands[(std::size_t)j]) &&
+               ir::derivativeReads(in.op, j) == ir::derivativeReads(in.op, i);
+    if (expand) adjointAdd(v, m.derivative(in.op, i, g), scope);
   }
 }
 

@@ -5,6 +5,7 @@
 #include "src/analysis/fninfo.h"
 #include "src/core/plan.h"
 #include "src/ir/builder.h"
+#include "src/ir/derivatives.h"
 #include "src/ir/verifier.h"
 
 namespace parad::core {
@@ -81,6 +82,21 @@ class FwdGen {
   bool varied(int v) const { return info_.varied(v); }
   bool variedPtr(int v) const { return info_.classVaried(info_.ptrClass(v)); }
 
+  /// The tangent of an arithmetic result r: the sum of the op's derivative
+  /// rules applied to its varied operands' tangents. Throws if op has none.
+  Value tangent(const ir::Inst& in, Value r) {
+    ir::IrRules m(*b_, [&](int k) {
+      return k < 2 ? aug(in.operands[(std::size_t)k]) : r;
+    });
+    Value t;
+    for (std::size_t i = 0; i < in.operands.size(); ++i) {
+      if (!varied(in.operands[i])) continue;
+      Value d = m.derivative(in.op, static_cast<int>(i), tan(in.operands[i]));
+      t = t.valid() ? b_->fadd(t, d) : d;
+    }
+    return t;
+  }
+
   void emitRegion(const ir::Region& r) {
     for (const ir::Inst& in : r.insts) emitInst(in);
   }
@@ -102,89 +118,6 @@ class FwdGen {
       case Op::Return:
         return;  // handled in run()
 
-      // ---- arithmetic: compute primal, then tangent ----
-      case Op::FAdd:
-        setVal(b_->fadd(A(0), A(1)));
-        if (act) setTan(b_->fadd(T(0), T(1)));
-        return;
-      case Op::FSub:
-        setVal(b_->fsub(A(0), A(1)));
-        if (act) setTan(b_->fsub(T(0), T(1)));
-        return;
-      case Op::FMul:
-        setVal(b_->fmul(A(0), A(1)));
-        if (act)
-          setTan(b_->fadd(b_->fmul(T(0), A(1)), b_->fmul(A(0), T(1))));
-        return;
-      case Op::FDiv: {
-        Value r = b_->fdiv(A(0), A(1));
-        setVal(r);
-        if (act)
-          setTan(b_->fdiv(b_->fsub(T(0), b_->fmul(r, T(1))), A(1)));
-        return;
-      }
-      case Op::FNeg:
-        setVal(b_->fneg(A(0)));
-        if (act) setTan(b_->fneg(T(0)));
-        return;
-      case Op::Sqrt: {
-        Value r = b_->sqrt_(A(0));
-        setVal(r);
-        if (act)
-          setTan(b_->fdiv(b_->fmul(b_->constF(0.5), T(0)), r));
-        return;
-      }
-      case Op::Sin:
-        setVal(b_->sin_(A(0)));
-        if (act) setTan(b_->fmul(T(0), b_->cos_(A(0))));
-        return;
-      case Op::Cos:
-        setVal(b_->cos_(A(0)));
-        if (act) setTan(b_->fneg(b_->fmul(T(0), b_->sin_(A(0)))));
-        return;
-      case Op::Exp: {
-        Value r = b_->exp_(A(0));
-        setVal(r);
-        if (act) setTan(b_->fmul(T(0), r));
-        return;
-      }
-      case Op::Log:
-        setVal(b_->log_(A(0)));
-        if (act) setTan(b_->fdiv(T(0), A(0)));
-        return;
-      case Op::Cbrt: {
-        Value r = b_->cbrt_(A(0));
-        setVal(r);
-        if (act)
-          setTan(b_->fdiv(T(0), b_->fmul(b_->constF(3), b_->fmul(r, r))));
-        return;
-      }
-      case Op::Pow: {
-        Value r = b_->pow_(A(0), A(1));
-        setVal(r);
-        if (act) {
-          // dr = r * (e * da/a + log(a) * de)
-          Value term1 = b_->fdiv(b_->fmul(A(1), T(0)), A(0));
-          Value term2 = b_->fmul(b_->log_(A(0)), T(1));
-          setTan(b_->fmul(r, b_->fadd(term1, term2)));
-        }
-        return;
-      }
-      case Op::FAbs: {
-        Value x = A(0);
-        setVal(b_->fabs_(x));
-        if (act)
-          setTan(b_->select(b_->flt(x, b_->constF(0)), b_->fneg(T(0)), T(0)));
-        return;
-      }
-      case Op::FMin:
-      case Op::FMax: {
-        Value a = A(0), bb = A(1);
-        Value takeA = in.op == Op::FMin ? b_->fle(a, bb) : b_->fge(a, bb);
-        setVal(in.op == Op::FMin ? b_->fmin_(a, bb) : b_->fmax_(a, bb));
-        if (act) setTan(b_->select(takeA, T(0), T(1)));
-        return;
-      }
       case Op::Select: {
         Value v = b_->select(A(0), A(1), A(2));
         setVal(v);
@@ -390,13 +323,15 @@ class FwdGen {
         return;
       }
 
-      // ---- everything else (ints, cmps, thread/rank queries, sync...) ----
+      // ---- everything else (arithmetic, ints, cmps, thread/rank queries,
+      // sync...): the primal, then an f64 result's tangent ----
       default: {
         std::vector<Value> ops;
         for (std::size_t i = 0; i < in.operands.size(); ++i) ops.push_back(A(i));
         Type rt = in.result >= 0 ? p_.typeOf(in.result) : Type::Void;
         Value v = b_->emitCloned(in, ops, rt);
         if (in.result >= 0) setVal(v);
+        if (act) setTan(tangent(in, v));
         return;
       }
     }

@@ -95,6 +95,7 @@ class GradGen {
   void emitReverse(const ir::Region& r, RevScope& scope);
   void emitReverseInst(const ir::Inst& in, RevScope& scope);
   void emitReverseParallel(const ir::Inst& in, RevScope& scope);
+  void emitArithAdjoint(const ir::Inst& in, RevScope& scope);
   Value resolve(int v, RevScope& scope);
   Value resolveShadow(int v, RevScope& scope);
   Value cacheIndexRev(const CacheState& st, RevScope& scope);

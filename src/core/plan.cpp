@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "src/core/remarks.h"
+#include "src/ir/derivatives.h"
 #include "src/ir/printer.h"
 
 namespace parad::core {
@@ -539,48 +540,6 @@ class Planner {
              ")");
       case Op::OmpParallelFor:
         fail("AD: lower the omp dialect before differentiation");
-      case Op::FMul:
-        // da += g*b needs b only when a is active, and vice versa.
-        if (resVaried) {
-          if (varied(in.operands[0])) req(in.operands[1]);
-          if (varied(in.operands[1])) req(in.operands[0]);
-        }
-        break;
-      case Op::FDiv:
-        if (resVaried) {
-          if (varied(in.operands[0])) req(in.operands[1]);
-          if (varied(in.operands[1])) {
-            req(in.operands[0]);
-            req(in.operands[1]);
-          }
-        }
-        break;
-      case Op::Sqrt:
-      case Op::Exp:
-      case Op::Cbrt:
-        if (resVaried) req(in.result);
-        break;
-      case Op::Sin: case Op::Cos: case Op::Log:
-        if (resVaried) req(in.operands[0]);
-        break;
-      case Op::Pow:
-        if (resVaried) {
-          if (varied(in.operands[0])) {
-            req(in.operands[0]);
-            req(in.operands[1]);
-          }
-          if (varied(in.operands[1])) {
-            req(in.operands[0]);
-            req(in.result);
-          }
-        }
-        break;
-      case Op::FAbs:
-        if (resVaried) req(in.operands[0]);
-        break;
-      case Op::FMin: case Op::FMax:
-        if (resVaried) { req(in.operands[0]); req(in.operands[1]); }
-        break;
       case Op::Select:
         if (resVaried) req(in.operands[0]);
         break;
@@ -705,6 +664,15 @@ class Planner {
         break;  // the seed is applied through the adjoint register/slot
 
       default:
+        // Arithmetic: what each varied operand's derivative rule reads.
+        if (resVaried && ir::hasDerivative(in.op))
+          for (std::size_t i = 0; i < in.operands.size(); ++i) {
+            if (!varied(in.operands[i])) continue;
+            unsigned reads = ir::derivativeReads(in.op, static_cast<int>(i));
+            if (reads & ir::kReadA) req(in.operands[0]);
+            if (reads & ir::kReadB) req(in.operands[1]);
+            if (reads & ir::kReadR) req(in.result);
+          }
         break;
     }
     for (const ir::Region& r : in.regions) planRegion(r);
@@ -858,20 +826,10 @@ class Planner {
   }
 
   /// Values this instruction's adjoint contributes into (mirrors the
-  /// adjointAdd calls of the reverse emitter).
+  /// adjointAdd calls of the reverse emitter): every operand of an op with
+  /// a derivative rule (src/ir/derivatives.h), and the f64 operands below.
   std::vector<int> adjointTargets(const ir::Inst& in) const {
     switch (in.op) {
-      case Op::FAdd: case Op::FSub: case Op::FMin: case Op::FMax:
-        return {in.operands[0], in.operands[1]};
-      case Op::FMul: case Op::FDiv: case Op::Pow: {
-        std::vector<int> out;
-        if (varied(in.operands[0])) out.push_back(in.operands[0]);
-        if (varied(in.operands[1])) out.push_back(in.operands[1]);
-        return out;
-      }
-      case Op::FNeg: case Op::Sqrt: case Op::Sin: case Op::Cos: case Op::Exp:
-      case Op::Log: case Op::Cbrt: case Op::FAbs:
-        return {in.operands[0]};
       case Op::Select:
         if (in.result >= 0 && p_.typeOf(in.result) == Type::F64)
           return {in.operands[1], in.operands[2]};
@@ -888,6 +846,7 @@ class Planner {
         if (!in.operands.empty()) return {in.operands[0]};
         return {};
       default:
+        if (ir::hasDerivative(in.op)) return in.operands;
         return {};
     }
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/ir/derivatives.h"
+
 namespace parad::cotape {
 
 using interp::RtVal;
@@ -20,30 +22,6 @@ std::vector<std::int32_t>& TapeInterpreter::idxOf(RtPtr p) {
              .first;
   }
   return it->second;
-}
-
-void TapeInterpreter::record1(std::int32_t lhs, std::int32_t a, double pa,
-                              psim::WorkerCtx& w) {
-  Stmt s;
-  s.lhs = lhs;
-  s.nargs = 1;
-  s.arg[0] = a;
-  s.partial[0] = pa;
-  stmts_.push_back(s);
-  w.advance(cfg_.tapeWriteCost);
-}
-
-void TapeInterpreter::record2(std::int32_t lhs, std::int32_t a, double pa,
-                              std::int32_t b, double pb, psim::WorkerCtx& w) {
-  Stmt s;
-  s.lhs = lhs;
-  s.nargs = 2;
-  s.arg[0] = a;
-  s.arg[1] = b;
-  s.partial[0] = pa;
-  s.partial[1] = pb;
-  stmts_.push_back(s);
-  w.advance(cfg_.tapeWriteCost);
 }
 
 void TapeInterpreter::gradient(const ir::Function& fn,
@@ -235,44 +213,27 @@ void TapeInterpreter::execArith(const ir::Inst& in, Frame& f,
     default: PARAD_UNREACHABLE("non-arithmetic op in execArith");
   }
   // The tape: an f64 result depending on an active operand gets a fresh
-  // index and a statement holding its partials. Select forwards the index
-  // of the arm it picked; other non-f64 results are inactive.
-  auto tape = [&](double pa, double pb) {
-    std::int32_t ia = V(0).idx, ib = V(1).idx;
-    out.idx = -1;
-    if (ia < 0 && ib < 0) return;
-    out.idx = fresh();
-    if (ia >= 0 && ib >= 0)
-      record2(out.idx, ia, pa, ib, pb, w);
-    else if (ia >= 0)
-      record1(out.idx, ia, pa, w);
-    else
-      record1(out.idx, ib, pb, w);
-  };
-  double a = V(0).v.u.f, b = V(1).v.u.f, r = out.v.u.f;
-  switch (in.op) {
-    case Op::FAdd: tape(1, 1); break;
-    case Op::FSub: tape(1, -1); break;
-    case Op::FMul: tape(b, a); break;
-    case Op::FDiv: tape(1.0 / b, -r / b); break;
-    case Op::FNeg: tape(-1, 0); break;
-    case Op::Sqrt: tape(0.5 / r, 0); break;
-    case Op::Sin: tape(std::cos(a), 0); break;
-    case Op::Cos: tape(-std::sin(a), 0); break;
-    case Op::Exp: tape(r, 0); break;
-    case Op::Log: tape(1.0 / a, 0); break;
-    case Op::Cbrt: tape(1.0 / (3 * r * r), 0); break;
-    case Op::Pow:
-      tape(b * std::pow(a, b - 1), a > 0 ? r * std::log(a) : 0);
-      break;
-    case Op::FAbs: tape(a < 0 ? -1 : 1, 0); break;
-    // The partial goes to the operand std::min / std::max return.
-    case Op::FMin: tape(!(b < a) ? 1 : 0, !(b < a) ? 0 : 1); break;
-    case Op::FMax: tape(!(a < b) ? 1 : 0, !(a < b) ? 0 : 1); break;
-    case Op::Select: out.idx = V(0).v.u.i ? V(1).idx : V(2).idx; break;
-    case Op::IToF: out.idx = -1; break;
-    default: break;
+  // index and a statement holding its partials, its derivative rules at
+  // g = 1. Select forwards the index of the arm it picked; other non-f64
+  // results are inactive.
+  if (in.op == Op::Select) {
+    out.idx = V(0).v.u.i ? V(1).idx : V(2).idx;
+    return;
   }
+  if (ir::noDerivative(in.op)) out.idx = -1;
+  if (!ir::hasDerivative(in.op)) return;
+  out.idx = -1;
+  if (V(0).idx < 0 && V(1).idx < 0) return;
+  ir::DoubleRules m{V(0).v.u.f, V(1).v.u.f, out.v.u.f};
+  Stmt s;
+  s.lhs = out.idx = fresh();
+  for (std::size_t i = 0; i < 2; ++i)
+    if (V(i).idx >= 0) {
+      s.arg[s.nargs] = V(i).idx;
+      s.partial[s.nargs++] = *ir::derivative(in.op, int(i), 1.0, m);
+    }
+  stmts_.push_back(s);
+  w.advance(cfg_.tapeWriteCost);
 }
 
 TapeInterpreter::Flow TapeInterpreter::execInst(const ir::Function& fn,

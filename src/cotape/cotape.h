@@ -96,9 +96,6 @@ class TapeInterpreter {
   void reverse(interp::Runtime& rt);
 
   std::int32_t fresh() { return nextIdx_++; }
-  void record1(std::int32_t lhs, std::int32_t a, double pa, psim::WorkerCtx& w);
-  void record2(std::int32_t lhs, std::int32_t a, double pa, std::int32_t b,
-               double pb, psim::WorkerCtx& w);
   std::vector<std::int32_t>& idxOf(psim::RtPtr p);
 
   const ir::Module& mod_;

@@ -57,6 +57,30 @@ void TreeWalker::execBody(const ir::Function& fn, const ir::Region& r,
               what);
 }
 
+// The runtime's lambda-taking team and task templates are expanded here,
+// out of line, so execInst's frame stays small.
+void TreeWalker::execLoop(const ir::Function& fn, const ir::Inst& in,
+                          Frame& f, Runtime& rt) {
+  const ir::Region& body = in.regions[0];
+  i64 lo = f[static_cast<std::size_t>(in.operands[0])].u.i;
+  i64 hi = f[static_cast<std::size_t>(in.operands[1])].u.i;
+  auto iter = [&](i64 i, const char* what) {
+    f[static_cast<std::size_t>(body.args[0])] = RtVal::I(i);
+    execBody(fn, body, f, rt, what);
+  };
+  if (in.op == Op::ParallelFor)
+    rt.parallelFor(lo, hi, [&](i64 i) { iter(i, "parallel loop body"); });
+  else
+    rt.workshare(lo, hi, in.iconst != 0,
+                 [&](i64 i) { iter(i, "workshare body"); });
+}
+
+void TreeWalker::execSpawn(const ir::Function& fn, const ir::Inst& in,
+                           Frame& f, Runtime& rt) {
+  f[static_cast<std::size_t>(in.result)].u.task =
+      rt.spawn([&] { execBody(fn, in.regions[0], f, rt, "spawned task"); });
+}
+
 void TreeWalker::execFork(const ir::Function& fn, const ir::Inst& in,
                           Frame& f, Runtime& rt) {
   int n = rt.teamSize(f[static_cast<std::size_t>(in.operands[0])].u.i);
@@ -188,23 +212,11 @@ Flow TreeWalker::execInst(const ir::Function& fn, const ir::Inst& in,
       return execRegion(fn, r, f, rt);
     }
 
-    case Op::ParallelFor: {
-      const ir::Region& body = in.regions[0];
-      rt.parallelFor(V(0).u.i, V(1).u.i, [&](i64 i) {
-        f[static_cast<std::size_t>(body.args[0])] = RtVal::I(i);
-        execBody(fn, body, f, rt, "parallel loop body");
-      });
+    case Op::ParallelFor:
+    case Op::Workshare:
+      execLoop(fn, in, f, rt);
       return Flow::Normal;
-    }
     case Op::Fork: execFork(fn, in, f, rt); return Flow::Normal;
-    case Op::Workshare: {
-      const ir::Region& body = in.regions[0];
-      rt.workshare(V(0).u.i, V(1).u.i, in.iconst != 0, [&](i64 i) {
-        f[static_cast<std::size_t>(body.args[0])] = RtVal::I(i);
-        execBody(fn, body, f, rt, "workshare body");
-      });
-      return Flow::Normal;
-    }
     case Op::BarrierOp:
       // Handled structurally by execFork's segmentation.
       PARAD_UNREACHABLE("barrier outside fork segmentation");
@@ -213,10 +225,7 @@ Flow TreeWalker::execInst(const ir::Function& fn, const ir::Inst& in,
       res().u.i = rt.numThreadsDefault();
       return Flow::Normal;
 
-    case Op::Spawn:
-      res().u.task = rt.spawn(
-          [&] { execBody(fn, in.regions[0], f, rt, "spawned task"); });
-      return Flow::Normal;
+    case Op::Spawn: execSpawn(fn, in, f, rt); return Flow::Normal;
     case Op::SyncOp: rt.sync(V(0).u.task); return Flow::Normal;
 
     case Op::MpRank: res().u.i = rt.env.rank; return Flow::Normal;

@@ -43,6 +43,10 @@ class TreeWalker {
                 Runtime& rt);
   void execFork(const ir::Function& fn, const ir::Inst& in, Frame& f,
                 Runtime& rt);
+  void execLoop(const ir::Function& fn, const ir::Inst& in, Frame& f,
+                Runtime& rt);
+  void execSpawn(const ir::Function& fn, const ir::Inst& in, Frame& f,
+                 Runtime& rt);
 
   const std::vector<int>& definedValues(const ir::Inst& in);
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -320,6 +321,16 @@ class FunctionBuilder {
     return push(std::move(in), Type::I64);
   }
   void gcPreserveEnd(Value token) { pushVoid(Op::GcPreserveEnd, {token.id}); }
+
+  /// Emits a region-free instruction of `op` with no payload but `fconst`.
+  Value emit(Op op, std::span<const Value> ops, Type resultTy,
+             double fconst = 0) {
+    Inst in{op};
+    in.fconst = fconst;
+    in.operands.reserve(ops.size());
+    for (Value v : ops) in.operands.push_back(v.id);
+    return push(std::move(in), resultTy);
+  }
 
   /// Emits a clone of a region-free instruction with remapped operands;
   /// copies op, payloads and flags. Used by passes and the AD engine.

@@ -37,6 +37,37 @@ ir::Module testFn() {
   return mod;
 }
 
+// f(x: ptr, n) -> f64 using every op with a derivative rule, and select:
+// pow has both operands active and a positive base (x in [0.3, 1.5]). The
+// loops are serial, so cotape can differentiate it too.
+ir::Module everyRuledOpFn() {
+  ir::Module mod;
+  ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::F64);
+  auto x = b.param(0);
+  auto n = b.param(1);
+  auto u = b.alloc(n, Type::F64);
+  b.emitFor(b.constI(0), n, [&](Value i) {
+    auto v = b.load(x, i);
+    auto w = b.load(x, b.isub(b.isub(n, b.constI(1)), i));
+    auto t = b.fadd(b.pow_(v, w), b.cbrt_(b.fmul(v, w)));
+    t = b.fsub(t, b.fdiv(b.log_(v), b.sqrt_(w)));
+    t = b.fadd(t, b.fmul(b.fmin_(v, w), b.fmax_(b.sin_(v), b.cos_(w))));
+    t = b.fadd(t, b.fneg(b.fabs_(b.fsub(v, b.exp_(w)))));
+    t = b.fadd(t, b.select(b.flt(v, w), b.fmul(v, v), w));
+    b.store(u, i, t);
+  });
+  auto acc = b.alloc(b.constI(1), Type::F64);
+  b.store(acc, b.constI(0), b.constF(0));
+  b.emitFor(b.constI(0), n, [&](Value i) {
+    auto cur = b.load(acc, b.constI(0));
+    b.store(acc, b.constI(0), b.fadd(cur, b.load(u, i)));
+  });
+  b.ret(b.load(acc, b.constI(0)));
+  b.finish();
+  ir::verify(mod);
+  return mod;
+}
+
 // Runs fwd_f with tangent seed dx; returns the directional derivative.
 double fwdDeriv(ir::Module& mod, const core::FwdInfo& fi,
                 const std::vector<double>& x, const std::vector<double>& dx,
@@ -76,23 +107,34 @@ TEST(AdForward, DirectionalDerivativeMatchesFD) {
 }
 
 TEST(AdForward, AgreesWithReverseMode) {
-  // <grad f, d> computed by reverse must equal the forward derivative
-  // along d.
-  ir::Module mod = testFn();
-  core::FwdConfig fcfg;
-  fcfg.activeArg = {true, false};
-  auto fi = core::generateForward(mod, "f", fcfg);
+  // <ybar, J xdot> from forward must equal <J^T ybar, xdot> from reverse at
+  // a random xdot, and cotape's J^T ybar must be reverse's (cotape runs
+  // serial code only).
+  for (int prog = 0; prog < 2; ++prog) {
+    SCOPED_TRACE(prog == 0 ? "sin/exp program" : "every ruled op");
+    ir::Module mod = prog == 0 ? testFn() : everyRuledOpFn();
+    core::FwdConfig fcfg;
+    fcfg.activeArg = {true, false};
+    auto fi = core::generateForward(mod, "f", fcfg);
 
-  Rng rng(52);
-  std::vector<double> x(12), dir(12);
-  for (auto& v : x) v = rng.uniform(0.3, 1.5);
-  for (auto& v : dir) v = rng.uniform(-1, 1);
+    Rng rng(52);
+    std::vector<double> x(12), dir(12);
+    for (auto& v : x) v = rng.uniform(0.3, 1.5);
+    for (auto& v : dir) v = rng.uniform(-1, 1);
+    double ybar = rng.uniform(0.5, 2);
 
-  auto grad = adGradScalarFn(mod, "f", x);
-  double dot = 0;
-  for (std::size_t k = 0; k < x.size(); ++k) dot += grad[k] * dir[k];
-  double fwd = fwdDeriv(mod, fi, x, dir);
-  EXPECT_NEAR(fwd, dot, 1e-9 * std::max(1.0, std::abs(dot)));
+    auto grad = adGradScalarFn(mod, "f", x, {}, 4, ybar);
+    double dot = 0;
+    for (std::size_t k = 0; k < x.size(); ++k) dot += grad[k] * dir[k];
+    double fwd = ybar * fwdDeriv(mod, fi, x, dir);
+    EXPECT_NEAR(fwd, dot, 1e-9 * std::max(1.0, std::abs(dot)));
+
+    if (prog == 0) continue;
+    auto tape = cotapeGradScalarFn(mod, "f", x, nullptr, nullptr, ybar);
+    for (std::size_t k = 0; k < x.size(); ++k)
+      EXPECT_NEAR(tape[k], grad[k], 1e-12 * std::max(1.0, std::abs(grad[k])))
+          << "component " << k;
+  }
 }
 
 TEST(AdForward, ForkWorkshareAndTasks) {

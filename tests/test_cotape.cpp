@@ -14,43 +14,6 @@ using ir::Value;
 
 namespace {
 
-// f(x, n) -> f64 canonical test function; returns cotape gradient of x.
-std::vector<double> cotapeGrad(const ir::Module& mod, const std::string& name,
-                               const std::vector<double>& x,
-                               double* primalTime = nullptr,
-                               std::uint64_t* tapeBytes = nullptr) {
-  // cotape differentiates sum-style objectives through an output binding; we
-  // wrap the scalar return by storing it to a 1-element output buffer.
-  psim::Machine m;
-  auto p = makeF64(m, x);
-  auto dp = makeF64(m, std::vector<double>(x.size(), 0));
-  // Output: the returned scalar. We re-run the function in a thin harness
-  // function that stores the result, so the output binding sees memory.
-  ir::Module wrapped = mod;  // copy
-  {
-    ir::FunctionBuilder b(wrapped, "cotape_wrap",
-                          {Type::PtrF64, Type::I64, Type::PtrF64});
-    auto r = b.call(name, {b.param(0), b.param(1)});
-    b.store(b.param(2), b.constI(0), r);
-    b.ret();
-    b.finish();
-  }
-  auto op = makeF64(m, {0.0});
-  auto dop = makeF64(m, {1.0});
-  double t = m.run({1, 1}, [&](psim::RankEnv& env) {
-    cotape::TapeInterpreter tape(wrapped, m);
-    tape.gradient(wrapped.get("cotape_wrap"),
-                  {interp::RtVal::P(p), interp::RtVal::I((i64)x.size()),
-                   interp::RtVal::P(op)},
-                  env,
-                  {{p, dp, (i64)x.size()}},   // input binding
-                  {{op, dop, 1}});            // output binding
-  });
-  if (primalTime) *primalTime = t;
-  if (tapeBytes) *tapeBytes = m.stats().tapeBytes;
-  return readF64(m, dp, (i64)x.size());
-}
-
 ir::Module serialTestFn() {
   ir::Module mod;
   ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::F64);
@@ -77,7 +40,7 @@ TEST(Cotape, MatchesEnzymeStyleGradient) {
   Rng rng(31);
   std::vector<double> x(12);
   for (auto& v : x) v = rng.uniform(0.3, 1.4);
-  auto gTape = cotapeGrad(mod, "f", x);
+  auto gTape = cotapeGradScalarFn(mod, "f", x);
   auto gAd = adGradScalarFn(mod, "f", x);
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(gTape[i], gAd[i], 1e-11) << "component " << i;
@@ -86,7 +49,7 @@ TEST(Cotape, MatchesEnzymeStyleGradient) {
 TEST(Cotape, MatchesFiniteDifferences) {
   ir::Module mod = serialTestFn();
   std::vector<double> x{0.5, 1.1, 0.9};
-  auto gTape = cotapeGrad(mod, "f", x);
+  auto gTape = cotapeGradScalarFn(mod, "f", x);
   auto fd = fdGradScalarFn(mod, "f", x);
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(gTape[i], fd[i], 1e-5 * std::max(1.0, std::abs(fd[i])));
@@ -117,7 +80,7 @@ TEST(Cotape, ControlFlowAndMinMax) {
   Rng rng(37);
   std::vector<double> x0(10);
   for (auto& v : x0) v = rng.uniform(0.2, 1.8);
-  auto gTape = cotapeGrad(mod, "f", x0);
+  auto gTape = cotapeGradScalarFn(mod, "f", x0);
   auto gAd = adGradScalarFn(mod, "f", x0);
   for (std::size_t i = 0; i < x0.size(); ++i)
     EXPECT_NEAR(gTape[i], gAd[i], 1e-11);
@@ -141,7 +104,7 @@ TEST(Cotape, HighSerialOverheadAndTapeMemory) {
 
   double tTape = 0;
   std::uint64_t tapeBytes = 0;
-  cotapeGrad(mod, "f", x, &tTape, &tapeBytes);
+  cotapeGradScalarFn(mod, "f", x, &tTape, &tapeBytes);
   double cotapeOverhead = tTape / tPrimal;
   EXPECT_GT(cotapeOverhead, 2.5);
   EXPECT_GT(tapeBytes, x.size() * sizeof(double));

@@ -213,14 +213,14 @@ TEST(Passes, PipelineOutputMatchesGolden) {
   const std::vector<PipelineGolden> cases = {
       {"lulesh_serial", lulesh(sweepLulesh(LPar::Serial, false, false)),
        "lulesh", luleshActive, 244, 503, 0x2cb4b2ce92d2c465ull,
-       0xfd2fa316719406e4ull},
+       0x9596f5e4fdb28bb9ull},
       {"lulesh_omp", lulesh(sweepLulesh(LPar::Omp, false, false)), "lulesh",
-       luleshActive, 374, 865, 0x54ba673fa04dca44ull, 0x251b179103eb9e5aull},
+       luleshActive, 374, 865, 0x54ba673fa04dca44ull, 0xa05f14f4c559f640ull},
       {"lulesh_jltasks", lulesh(sweepLulesh(LPar::JliteTasks, false, true)),
        "lulesh", luleshActive, 929, 2401, 0x8ef0d4e6486fab25ull,
-       0x063fff4a0549fbfdull},
+       0xc5a832d882a887a4ull},
       {"lulesh_mpi", lulesh(sweepLulesh(LPar::Serial, true, false)), "lulesh",
-       luleshActive, 539, 653, 0x23c4465ea5675fcbull, 0xa0b679deee859d13ull},
+       luleshActive, 539, 653, 0x23c4465ea5675fcbull, 0x0b061e6664d4e8a2ull},
       {"bude_omp", [bude] { return apps::minibude::build(bude); }, "bude",
        budeActive, 74, 226, 0x047e9bf4a805cd8cull, 0xd92b6f234230afc1ull},
   };

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/gradient.h"
+#include "src/cotape/cotape.h"
 #include "src/interp/interp.h"
 #include "src/ir/builder.h"
 #include "src/ir/verifier.h"
@@ -116,6 +117,39 @@ inline std::vector<double> adGradScalarFn(ir::Module& mod,
                         interp::RtVal::P(dp), interp::RtVal::F(seed)},
                        threads);
   if (primalOut) *primalOut = out.u.f;
+  return readF64(m, dp, (i64)x.size());
+}
+
+/// Runs cotape's gradient (seed `seed`) of `name`; returns dx. cotape seeds
+/// through an output binding, so a thin wrapper stores the returned scalar
+/// to a 1-element buffer.
+inline std::vector<double> cotapeGradScalarFn(
+    const ir::Module& mod, const std::string& name,
+    const std::vector<double>& x, double* primalTime = nullptr,
+    std::uint64_t* tapeBytes = nullptr, double seed = 1.0) {
+  psim::Machine m;
+  auto p = makeF64(m, x);
+  auto dp = makeF64(m, std::vector<double>(x.size(), 0));
+  ir::Module wrapped = mod;
+  {
+    ir::FunctionBuilder b(wrapped, "cotape_wrap",
+                          {ir::Type::PtrF64, ir::Type::I64, ir::Type::PtrF64});
+    auto r = b.call(name, {b.param(0), b.param(1)});
+    b.store(b.param(2), b.constI(0), r);
+    b.ret();
+    b.finish();
+  }
+  auto op = makeF64(m, {0.0});
+  auto dop = makeF64(m, {seed});
+  double t = m.run({1, 1}, [&](psim::RankEnv& env) {
+    cotape::TapeInterpreter tape(wrapped, m);
+    tape.gradient(wrapped.get("cotape_wrap"),
+                  {interp::RtVal::P(p), interp::RtVal::I((i64)x.size()),
+                   interp::RtVal::P(op)},
+                  env, {{p, dp, (i64)x.size()}}, {{op, dop, 1}});
+  });
+  if (primalTime) *primalTime = t;
+  if (tapeBytes) *tapeBytes = m.stats().tapeBytes;
   return readF64(m, dp, (i64)x.size());
 }
 
