@@ -6,9 +6,15 @@
 // are the reproduction target, not absolute times.
 #pragma once
 
+#include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,6 +24,41 @@
 #include "src/support/table.h"
 
 namespace parad::bench {
+
+/// google-benchmark's reading of a bool flag's value: empty is true, and
+/// so is any value but 0/f/n/false/no/off (any case) or one non-alnum char.
+inline bool truthyFlagValue(std::string_view value) {
+  std::string v(value);
+  std::transform(v.begin(), v.end(), v.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  if (v.size() == 1)
+    return std::isalnum(static_cast<unsigned char>(v[0])) && v != "0" &&
+           v != "f" && v != "n";
+  return v != "false" && v != "no" && v != "off";
+}
+
+/// Runs the google-benchmark cases the command line selects. Returns false
+/// when it only asks to list them (`--benchmark_list_tests` or the
+/// BENCHMARK_LIST_TESTS environment variable, read as google-benchmark reads
+/// them): the caller then stops, without its own measurements and without
+/// writing a BENCH_<name>.json.
+inline bool runBenchmarks(int argc, char** argv) {
+  constexpr std::string_view kFlag = "--benchmark_list_tests";
+  const char* env = std::getenv("BENCHMARK_LIST_TESTS");
+  bool listOnly = env != nullptr && truthyFlagValue(env);
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg = argv[i];
+    if (arg.substr(0, kFlag.size()) != kFlag) continue;
+    std::string_view rest = arg.substr(kFlag.size());
+    if (rest.empty())
+      listOnly = true;
+    else if (rest.front() == '=')
+      listOnly = truthyFlagValue(rest.substr(1));
+  }
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  return !listOnly;
+}
 
 inline void header(const char* id, const char* what, const char* expect) {
   std::printf("==================================================================\n");

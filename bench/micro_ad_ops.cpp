@@ -75,8 +75,7 @@ BENCHMARK(BM_PreparePipeline);
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  if (!parad::bench::runBenchmarks(argc, argv)) return 0;
 
   // Machine-readable record: wall time of one gradient generation per chain
   // length plus the static plan-decision counts behind it.

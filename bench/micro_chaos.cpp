@@ -111,8 +111,7 @@ BENCHMARK(BM_RingFaultsOn);
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  if (!parad::bench::runBenchmarks(argc, argv)) return 0;
 
   parad::bench::header(
       "micro_chaos", "fault-injection cost, off vs chaos (drop/dup/delay)",

@@ -114,8 +114,7 @@ BENCHMARK(BM_RingCkptEveryBoundary);
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  if (!parad::bench::runBenchmarks(argc, argv)) return 0;
 
   parad::bench::header(
       "micro_ckpt", "checkpoint overhead vs interval, plus one kill-recovery",

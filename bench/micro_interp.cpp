@@ -220,8 +220,7 @@ BENCHMARK(BM_DispatchTreeWalk);
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  if (!parad::bench::runBenchmarks(argc, argv)) return 0;
 
   const bool withCodegen = codegenLaneEnabled();
 

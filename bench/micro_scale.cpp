@@ -117,8 +117,7 @@ BENCHMARK(BM_ScaleStep256);
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  if (!parad::bench::runBenchmarks(argc, argv)) return 0;
 
   parad::bench::header(
       "micro_scale",

@@ -356,8 +356,7 @@ BENCHMARK(BM_ServeHotBatch);
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  if (!parad::bench::runBenchmarks(argc, argv)) return 0;
 
   const char* smokeEnv = std::getenv("PARAD_SERVE_SMOKE");
   const bool smoke = smokeEnv != nullptr && *smokeEnv && *smokeEnv != '0';

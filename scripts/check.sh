@@ -105,6 +105,22 @@ cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
+# Listing a micro-benchmark's cases must not measure: each listing runs in a
+# fresh directory, which must hold no BENCH_*.json afterwards.
+bench_bin="$BUILD_DIR/bench"
+[[ "$bench_bin" == /* ]] || bench_bin="$PWD/$bench_bin"
+list_dir=$(mktemp -d)
+for name in micro_ad_ops micro_chaos micro_ckpt micro_interp micro_scale \
+            serve_throughput; do
+  (cd "$list_dir" && "$bench_bin/$name" --benchmark_list_tests >/dev/null)
+  if compgen -G "$list_dir/BENCH_*.json" >/dev/null; then
+    echo "check.sh: $name --benchmark_list_tests wrote a BENCH_*.json" >&2
+    rm -rf "$list_dir"
+    exit 1
+  fi
+done
+rm -rf "$list_dir"
+
 if [[ "${CHAOS:-0}" == "1" ]]; then
   # Expanded (seed x drop-rate) chaos sweep and (seed x kill-rate x engine)
   # rank-crash/recovery sweep over the MPI apps, plus the whole suite re-run

@@ -1,6 +1,8 @@
 #include "src/analysis/fninfo.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 
 #include "src/ir/derivatives.h"
 #include "src/support/common.h"
@@ -10,17 +12,24 @@ namespace parad::analysis {
 using ir::Op;
 using ir::Type;
 
-FnInfo::FnInfo(const ir::Function& fn, const std::vector<bool>& activeArg)
-    : fn_(&fn) {
+FnInfo::FnInfo(const ir::Function& fn) : fn_(&fn) {
   std::size_t n = static_cast<std::size_t>(fn.numValues());
   def_.assign(n, nullptr);
   defRegion_.assign(n, nullptr);
   depth_.assign(n, 0);
   ptrClass_.assign(n, PtrClass::unknown());
-  varied_.assign(n, 0);
   crossRegion_.assign(n, 0);
   index(fn.body, nullptr, nullptr, 0);
+  std::sort(instRanges_.begin(), instRanges_.end(),
+            [](const InstRange& a, const InstRange& b) {
+              return std::less<const ir::Inst*>()(a.begin, b.begin);
+            });
   classify();
+}
+
+FnInfo::FnInfo(const ir::Function& fn, const std::vector<bool>& activeArg)
+    : FnInfo(fn) {
+  varied_.assign(static_cast<std::size_t>(fn.numValues()), 0);
   activity(activeArg);
 }
 
@@ -33,9 +42,11 @@ void FnInfo::index(const ir::Region& r, const ir::Region* parent,
     depth_[(std::size_t)a] = depth;
     if (parentInst) argOwner_[a] = parentInst;
   }
+  if (!r.insts.empty())
+    instRanges_.push_back(
+        {r.insts.data(), r.insts.data() + r.insts.size(), &r});
   for (const ir::Inst& in : r.insts) {
     allInsts_.push_back(&in);
-    instRegion_[&in] = &r;
     if (in.result >= 0) {
       def_[(std::size_t)in.result] = &in;
       defRegion_[(std::size_t)in.result] = &r;
@@ -50,6 +61,16 @@ void FnInfo::index(const ir::Region& r, const ir::Region* parent,
         crossRegion_[(std::size_t)o] = 1;
     for (const ir::Region& sub : in.regions) index(sub, &r, &in, depth + 1);
   }
+}
+
+const ir::Region* FnInfo::instRegion(const ir::Inst* in) const {
+  std::less<const ir::Inst*> less;
+  auto it = std::upper_bound(
+      instRanges_.begin(), instRanges_.end(), in,
+      [&](const ir::Inst* p, const InstRange& r) { return less(p, r.begin); });
+  PARAD_CHECK(it != instRanges_.begin() && less(in, std::prev(it)->end),
+              "FnInfo: instruction is not in ", fn_->name);
+  return std::prev(it)->region;
 }
 
 std::vector<const ir::Inst*> FnInfo::enclosingChain(const ir::Region* r) const {

@@ -44,8 +44,12 @@ struct PtrClass {
 
 class FnInfo {
  public:
-  /// `activeArg[i]` marks pointer argument i as differentiable (has a
-  /// shadow). Scalar f64 arguments are treated as constants.
+  /// Structure, pointer classes and written classes: what the passes read.
+  /// No activity: varied() and classVaried() need the constructor below.
+  explicit FnInfo(const ir::Function& fn);
+  /// All of the above plus the activity fixpoint, for the differentiating
+  /// callers. `activeArg[i]` marks pointer argument i as differentiable (has
+  /// a shadow). Scalar f64 arguments are treated as constants.
   FnInfo(const ir::Function& fn, const std::vector<bool>& activeArg);
 
   const ir::Function& fn() const { return *fn_; }
@@ -64,9 +68,8 @@ class FnInfo {
     auto it = regionParentInst_.find(r);
     return it == regionParentInst_.end() ? nullptr : it->second;
   }
-  const ir::Region* instRegion(const ir::Inst* in) const {
-    return instRegion_.at(in);
-  }
+  /// The region whose instruction list holds `in`.
+  const ir::Region* instRegion(const ir::Inst* in) const;
   /// Enclosing structured insts of a region, outermost first.
   std::vector<const ir::Inst*> enclosingChain(const ir::Region* r) const;
   /// True if value v is defined inside (any region of) inst `container`.
@@ -112,7 +115,14 @@ class FnInfo {
   std::unordered_map<int, const ir::Inst*> argOwner_;
   std::unordered_map<const ir::Region*, const ir::Inst*> regionParentInst_;
   std::unordered_map<const ir::Region*, const ir::Region*> regionParentRegion_;
-  std::unordered_map<const ir::Inst*, const ir::Region*> instRegion_;
+  // Each non-empty region's instruction array as an address range, sorted
+  // by address: one entry per region instead of one map entry per inst.
+  struct InstRange {
+    const ir::Inst* begin;
+    const ir::Inst* end;
+    const ir::Region* region;
+  };
+  std::vector<InstRange> instRanges_;
   std::vector<PtrClass> ptrClass_;
   std::unordered_set<std::size_t> written_;
   std::unordered_set<std::size_t> variedClass_;

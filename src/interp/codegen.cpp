@@ -1,6 +1,7 @@
 #include "src/interp/codegen.h"
 
 #include <dlfcn.h>
+#include <link.h>
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -705,12 +706,45 @@ std::string firstLineOf(const std::string& path) {
   return "";
 }
 
+/// True when every segment and the section table the ELF header names lie
+/// inside the file. The loader maps segments by their header offsets, so a
+/// truncated object (a torn install) can fault inside dlopen instead of
+/// failing it; this check turns that into a clean rejection.
+bool wholeElf(const std::string& path, std::string* reason) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::uint64_t size = in ? static_cast<std::uint64_t>(in.tellg()) : 0;
+  auto inside = [size](std::uint64_t off, std::uint64_t len) {
+    return off <= size && len <= size - off;
+  };
+  ElfW(Ehdr) eh{};
+  in.seekg(0);
+  if (!in.read(reinterpret_cast<char*>(&eh), sizeof eh) ||
+      std::memcmp(eh.e_ident, ELFMAG, SELFMAG) != 0 ||
+      eh.e_phentsize != sizeof(ElfW(Phdr)) ||
+      !inside(eh.e_phoff, std::uint64_t(eh.e_phnum) * eh.e_phentsize) ||
+      !inside(eh.e_shoff, std::uint64_t(eh.e_shnum) * eh.e_shentsize)) {
+    *reason = "truncated or malformed object";
+    return false;
+  }
+  in.seekg(static_cast<std::streamoff>(eh.e_phoff));
+  for (unsigned k = 0; k < eh.e_phnum; ++k) {
+    ElfW(Phdr) ph{};
+    if (!in.read(reinterpret_cast<char*>(&ph), sizeof ph) ||
+        !inside(ph.p_offset, ph.p_filesz)) {
+      *reason = "truncated or malformed object";
+      return false;
+    }
+  }
+  return true;
+}
+
 /// dlopens a generated object and validates its ABI version and fingerprint.
 /// Returns nullptr (with a reason) on any mismatch — the caller recompiles.
 std::shared_ptr<const CodegenArtifact> tryOpen(const std::string& path,
                                                std::uint64_t fp,
                                                const ExecModule& xm,
                                                std::string* reason) {
+  if (!wholeElf(path, reason)) return nullptr;
   void* h = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (h == nullptr) {
     const char* err = dlerror();

@@ -10,29 +10,53 @@ namespace parad::interp {
 using ir::Op;
 
 // ---------------------------------------------------------------------------
-// Structural fingerprint (FNV-1a over everything a pass can mutate).
+// Structural fingerprint (FNV-1a over everything a pass can mutate, in
+// 64-bit words; see src/support/fnv.h). The hash costs one step per word,
+// so small fields share words: value ids are ints, sizes stay below 2^32
+// (region counts below 2^24), and types are bytes.
 
 namespace {
+
+std::uint64_t pair32(std::uint32_t lo, std::uint64_t hi) {
+  return lo | hi << 32;
+}
+
+void hashIds(const std::vector<int>& ids, Fnv1a& f) {
+  std::size_t k = 0;
+  for (; k + 1 < ids.size(); k += 2)
+    f.u64(pair32(static_cast<std::uint32_t>(ids[k]),
+                 static_cast<std::uint32_t>(ids[k + 1])));
+  if (k < ids.size()) f.u64(static_cast<std::uint32_t>(ids[k]));
+}
+
+// Types are bytes: eight to a word.
+void hashTypes(const std::vector<ir::Type>& types, Fnv1a& f) {
+  f.u64(types.size());
+  for (std::size_t k = 0; k < types.size(); k += 8) {
+    std::uint64_t w = 0;
+    for (std::size_t j = k; j < types.size() && j < k + 8; ++j)
+      w |= static_cast<std::uint64_t>(types[j]) << (8 * (j - k));
+    f.u64(w);
+  }
+}
 
 void hashRegion(const ir::Region& r, Fnv1a& f);
 
 void hashInst(const ir::Inst& in, Fnv1a& f) {
-  f.u64(static_cast<std::uint64_t>(in.op));
-  f.u64(in.result);
-  f.u64(in.operands.size());
-  for (int o : in.operands) f.u64(o);
+  f.u64(pair32(static_cast<std::uint32_t>(in.result), in.flags));
+  f.u64(pair32(static_cast<std::uint32_t>(in.op) |
+                   static_cast<std::uint32_t>(in.regions.size()) << 8,
+               in.operands.size()));
+  hashIds(in.operands, f);
   f.f64(in.fconst);
   f.u64(in.iconst);
   f.str(in.sym);
-  f.u64(in.flags);
-  f.u64(in.regions.size());
   for (const ir::Region& r : in.regions) hashRegion(r, f);
 }
 
 void hashRegion(const ir::Region& r, Fnv1a& f) {
-  f.u64(r.args.size());
-  for (int a : r.args) f.u64(a);
-  f.u64(r.insts.size());
+  f.u64(pair32(static_cast<std::uint32_t>(r.args.size()), r.insts.size()));
+  hashIds(r.args, f);
   for (const ir::Inst& in : r.insts) hashInst(in, f);
 }
 
@@ -41,11 +65,9 @@ void hashRegion(const ir::Region& r, Fnv1a& f) {
 std::uint64_t fingerprint(const ir::Function& fn) {
   Fnv1a f;
   f.str(fn.name);
-  f.u64(fn.paramTypes.size());
-  for (ir::Type t : fn.paramTypes) f.u64(static_cast<std::uint64_t>(t));
+  hashTypes(fn.paramTypes, f);
   f.u64(static_cast<std::uint64_t>(fn.retType));
-  f.u64(fn.valueTypes.size());
-  for (ir::Type t : fn.valueTypes) f.u64(static_cast<std::uint64_t>(t));
+  hashTypes(fn.valueTypes, f);
   hashRegion(fn.body, f);
   return f.h;
 }

@@ -10,10 +10,11 @@
 // linear in g: forward mode applies them to each varied operand's tangent
 // and sums, and cotape evaluates them at g = 1. A rule is generic over its
 // scalar algebra M, which supplies the reads a(), b(), r(), the constant
-// c(k), neg, sub, mul, div, sin, cos, log, pow, lt (x < y, as 1 or 0) and
-// select(cond, x, y); the algebras follow the rules. No call in a rule has
-// two arguments that compute (reads included): C++ leaves the order of
-// f(x(), y()) unspecified, and the IR algebra emits in evaluation order.
+// c(k), neg, sub, mul, div, sin, cos, log, pow, lt (x < y, as 1 or 0), eq
+// (x == y, as 1 or 0) and select(cond, x, y); the algebras follow the
+// rules. No call in a rule has two arguments that compute (reads
+// included): C++ leaves the order of f(x(), y()) unspecified, and the IR
+// algebra emits in evaluation order.
 //
 // Select is not here: its adjoint routes g to the arm it picked, which each
 // consumer does next to its pointer-shadow routing.
@@ -51,9 +52,11 @@ std::optional<V> derivative(Op op, int i, V g, M& m) {
     case Op::Log: return m.div(g, m.a());
     case Op::Pow: {
       V x = m.a();
-      if (i == 0) {  // g · b · a^(b-1)
+      if (i == 0) {  // g · b · a^(b-1), taken as 0 where b = ±0
         V e = m.b();
-        return m.mul(g, m.mul(e, m.pow(x, m.sub(e, m.c(1)))));
+        V d = m.mul(g, m.mul(e, m.pow(x, m.sub(e, m.c(1)))));
+        V zero = m.c(0);
+        return m.select(m.eq(e, zero), zero, d);
       }
       // g · r · log a, taken as 0 where a <= 0 (DESIGN.md §8).
       V r = m.r();
@@ -106,6 +109,7 @@ struct DoubleRules {
   static V log(V x) { return std::log(x); }
   static V pow(V x, V y) { return std::pow(x, y); }
   static V lt(V x, V y) { return x < y ? 1 : 0; }
+  static V eq(V x, V y) { return x == y ? 1 : 0; }
   static V select(V cond, V x, V y) { return cond != 0 ? x : y; }
 };
 
@@ -179,6 +183,7 @@ class IrRules {
   V log(V x) { return term(Op::Log, {x}); }
   V pow(V x, V y) { return term(Op::Pow, {x, y}); }
   V lt(V x, V y) { return term(Op::FCmpLt, {x, y}); }
+  V eq(V x, V y) { return term(Op::FCmpEq, {x, y}); }
   V select(V cond, V x, V y) { return term(Op::Select, {cond, x, y}); }
 
  private:
@@ -206,15 +211,17 @@ class IrRules {
       for (int s = 0; s < numTerms_; ++s)
         if (same(terms_[s])) return {terms_[s].v};
     Value v = b_.emit(op, std::span<const Value>(ops, (std::size_t)n),
-                      op == Op::FCmpLt ? Type::I1 : Type::F64, k);
-    if (!g && numTerms_ < 8)
+                      traits(op).result == Type::I1 ? Type::I1 : Type::F64,
+                      k);
+    if (!g && numTerms_ < kMaxTerms)
       terms_[numTerms_++] = {op, k, {ops[0].id, ops[1].id, ops[2].id}, v};
     return {v, g};
   }
 
   FunctionBuilder& b_;
   Read read_;
-  Term terms_[8];  // pow's two rules, the most, have eight g-free terms
+  static constexpr int kMaxTerms = 9;  // pow's two rules, the most, have nine
+  Term terms_[kMaxTerms];              // g-free terms
   int numTerms_ = 0;
 };
 

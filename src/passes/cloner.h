@@ -4,7 +4,7 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "src/ir/builder.h"
 
@@ -18,16 +18,20 @@ class Cloner {
   using Hook = std::function<bool(Cloner&, const ir::Inst&)>;
 
   Cloner(const ir::Function& src, ir::FunctionBuilder& b, Hook hook = nullptr)
-      : src_(src), b_(b), hook_(std::move(hook)) {}
+      : src_(src),
+        b_(b),
+        hook_(std::move(hook)),
+        map_((std::size_t)src.numValues()) {}
 
   ir::FunctionBuilder& builder() { return b_; }
   const ir::Function& source() const { return src_; }
 
-  void map(int srcId, ir::Value v) { map_[srcId] = v; }
+  void map(int srcId, ir::Value v) { map_[(std::size_t)srcId] = v; }
   ir::Value get(int srcId) const {
-    auto it = map_.find(srcId);
-    PARAD_CHECK(it != map_.end(), "cloner: unmapped value %", srcId);
-    return it->second;
+    PARAD_CHECK(srcId >= 0 && srcId < (int)map_.size() &&
+                    map_[(std::size_t)srcId].valid(),
+                "cloner: unmapped value %", srcId);
+    return map_[(std::size_t)srcId];
   }
 
   /// Clones every instruction of `r` into the builder's current region.
@@ -68,7 +72,7 @@ class Cloner {
   const ir::Function& src_;
   ir::FunctionBuilder& b_;
   Hook hook_;
-  std::unordered_map<int, ir::Value> map_;
+  std::vector<ir::Value> map_;  // source value id -> cloned value
 };
 
 /// Rebuilds function `name` through a cloner with the given hook, replacing

@@ -23,7 +23,9 @@ using ir::Value;
 
 void rewriteFunction(ir::Module& mod, const std::string& name,
                      const Cloner::Hook& hook) {
-  const ir::Function src = mod.get(name);  // copy; builder overwrites the slot
+  // The builder replaces the module's slot only in finish(), after the
+  // clone has read the source in place.
+  const ir::Function& src = mod.get(name);
   ir::FunctionBuilder b(mod, name, src.paramTypes, src.retType);
   Cloner c(src, b, hook);
   for (std::size_t i = 0; i < src.paramTypes.size(); ++i)
@@ -38,6 +40,25 @@ void rewriteFunction(ir::Module& mod, const std::string& name,
 // ---------------------------------------------------------------------------
 
 namespace {
+
+// Does any instruction of `r`, at any depth, have op `op`? The rewriting
+// passes skip the clone when it does not: cloning a function unchanged
+// rebuilds the same IR (Passes.IdentityRewriteIsANoOp).
+bool containsOp(const Region& r, Op op) {
+  for (const Inst& in : r.insts) {
+    if (in.op == op) return true;
+    for (const Region& sub : in.regions)
+      if (containsOp(sub, op)) return true;
+  }
+  return false;
+}
+
+void collectDefs(const Region& r, std::vector<const Inst*>& def) {
+  for (const Inst& in : r.insts) {
+    if (in.result >= 0) def[(std::size_t)in.result] = &in;
+    for (const Region& sub : in.regions) collectDefs(sub, def);
+  }
+}
 
 int countReturns(const Region& r) {
   int n = 0;
@@ -84,14 +105,16 @@ Value inlineBody(ir::Module& mod, Cloner& outer, const ir::Function& callee,
 }  // namespace
 
 void inlineCalls(ir::Module& mod, const std::string& fn) {
-  rewriteFunction(mod, fn, [&](Cloner& c, const Inst& in) -> bool {
-    if (in.op != Op::Call) return false;
-    std::vector<Value> args;
-    for (int o : in.operands) args.push_back(c.get(o));
-    Value r = inlineBody(mod, c, mod.get(in.sym), args, 0);
-    if (in.result >= 0) c.map(in.result, r);
-    return true;
-  });
+  if (containsOp(mod.get(fn).body, Op::Call)) {
+    rewriteFunction(mod, fn, [&](Cloner& c, const Inst& in) -> bool {
+      if (in.op != Op::Call) return false;
+      std::vector<Value> args;
+      for (int o : in.operands) args.push_back(c.get(o));
+      Value r = inlineBody(mod, c, mod.get(in.sym), args, 0);
+      if (in.result >= 0) c.map(in.result, r);
+      return true;
+    });
+  }
   ir::verify(mod, mod.get(fn));
 }
 
@@ -100,12 +123,14 @@ void inlineCalls(ir::Module& mod, const std::string& fn) {
 // ---------------------------------------------------------------------------
 
 void resolveIndirect(ir::Module& mod, const std::string& fn) {
-  // Map value id -> defining inst for constant-address tracing.
   const ir::Function& f0 = mod.get(fn);
-  analysis::FnInfo info(f0, {});
+  if (!containsOp(f0.body, Op::CallIndirect)) return;
+  // Map value id -> defining inst for constant-address tracing.
+  std::vector<const Inst*> def((std::size_t)f0.numValues(), nullptr);
+  collectDefs(f0.body, def);
   rewriteFunction(mod, fn, [&](Cloner& c, const Inst& in) -> bool {
     if (in.op != Op::CallIndirect) return false;
-    const Inst* d = info.defInst(in.operands[0]);
+    const Inst* d = def[(std::size_t)in.operands[0]];
     PARAD_CHECK(d && d->op == Op::ConstI,
                 "resolve-indirect: address is not a constant symbol handle");
     const std::string* name = mod.symbols.lookup(d->iconst);
@@ -126,6 +151,7 @@ void resolveIndirect(ir::Module& mod, const std::string& fn) {
 // ---------------------------------------------------------------------------
 
 void lowerOmp(ir::Module& mod, const std::string& fn) {
+  if (!containsOp(mod.get(fn).body, Op::OmpParallelFor)) return;
   rewriteFunction(mod, fn, [&](Cloner& c, const Inst& in) -> bool {
     if (in.op != Op::OmpParallelFor) return false;
     ir::FunctionBuilder& b = c.builder();
@@ -290,21 +316,23 @@ void collectUses(const Region& r, std::vector<int>& useCount) {
   }
 }
 
+// Drops the unused removable instructions of `r` and of its nested regions,
+// compacting each instruction list in one pass; survivors keep their order.
 bool dceRegion(Region& r, const std::vector<int>& useCount) {
   bool changed = false;
-  for (auto it = r.insts.begin(); it != r.insts.end();) {
-    bool removed = false;
-    if (it->result >= 0 && useCount[(std::size_t)it->result] == 0 &&
-        ir::removableWhenUnused(it->op) && it->regions.empty()) {
-      it = r.insts.erase(it);
-      removed = true;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < r.insts.size(); ++i) {
+    Inst& in = r.insts[i];
+    if (in.result >= 0 && useCount[(std::size_t)in.result] == 0 &&
+        ir::removableWhenUnused(in.op) && in.regions.empty()) {
       changed = true;
+      continue;
     }
-    if (!removed) {
-      for (Region& sub : it->regions) changed |= dceRegion(sub, useCount);
-      ++it;
-    }
+    for (Region& sub : in.regions) changed |= dceRegion(sub, useCount);
+    if (kept != i) r.insts[kept] = std::move(in);
+    ++kept;
   }
+  r.insts.resize(kept);
   return changed;
 }
 
@@ -473,7 +501,7 @@ int hoistInvariants(ir::Module& mod, const std::string& fn) {
   int total = 0;
   for (int round = 0; round < 8; ++round) {
     ir::Function& f = mod.get(fn);
-    analysis::FnInfo info(f, {});
+    analysis::FnInfo info(f);
     StoreSummary stores;
     summarizeStores(info, f.body, 0, 0, stores);
     Hoister h{info, stores, std::vector<int>((std::size_t)f.numValues(), -1)};

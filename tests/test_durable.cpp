@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/interp/codegen.h"
+#include "src/interp/lower.h"
 #include "src/io/store.h"
 #include "src/psim/checkpoint.h"
 #include "src/psim/failure.h"
@@ -828,6 +829,62 @@ TEST(Durable, CodegenTornInstallTolerated) {
   std::vector<double> gotClean = adGradScalarFn(modB, "f", x);
   for (std::size_t k = 0; k < wantG.size(); ++k)
     EXPECT_EQ(gotClean[k], wantG[k]) << "k=" << k;
+
+  cache.setConfig(saved);
+  cache.clear();
+  cache.clearRemarks();
+}
+
+TEST(Durable, CodegenTruncatedArtifactNeverLoads) {
+  // An artifact cut short at any length is rejected before dlopen: the
+  // loader maps segments by their header offsets, so loading a cut object
+  // can fault instead of failing. Every lookup recompiles, and the values
+  // stay those of the exec engine.
+  const std::vector<double> x = {0.5, 1.25, 2.0};
+  EngineGuard guard;
+  auto& cache = interp::CodegenCache::global();
+  interp::CodegenConfig saved = cache.config();
+  TempDir dir("parad_durable_cut");
+
+  ir::Module modRef;
+  servable(2.5)(modRef);
+  interp::setDefaultEngine("exec");
+  const std::vector<double> wantG = adGradScalarFn(modRef, "f", x);
+
+  interp::CodegenConfig cfg;
+  cfg.cacheDir = dir.path;
+  cache.setConfig(cfg);
+  cache.clear();
+  interp::setDefaultEngine("codegen");
+  auto gradFresh = [&] {
+    ir::Module mod;
+    servable(2.5)(mod);
+    return adGradScalarFn(mod, "f", x);
+  };
+  EXPECT_EQ(gradFresh(), wantG);
+  std::vector<std::filesystem::path> objects;
+  for (const auto& e : std::filesystem::directory_iterator(dir.path))
+    if (e.path().extension() == ".so") objects.push_back(e.path());
+  if (objects.empty()) {
+    cache.setConfig(saved);
+    cache.clear();
+    GTEST_SKIP() << "no host compiler: nothing was compiled";
+  }
+  for (double frac : {0.05, 0.3, 0.6, 0.9, 0.99}) {
+    SCOPED_TRACE(frac);
+    // Drop the lowered closures that hold the loaded objects, so none is
+    // still mapped when its file shrinks.
+    interp::ProgramCache::global().clear();
+    cache.clear();
+    for (const auto& so : objects)
+      std::filesystem::resize_file(
+          so, static_cast<std::uintmax_t>(
+                  frac * static_cast<double>(std::filesystem::file_size(so))));
+    const interp::CodegenCounters before = cache.counters();
+    EXPECT_EQ(gradFresh(), wantG);
+    EXPECT_EQ(cache.counters().diskHits, before.diskHits);
+    EXPECT_GT(cache.counters().compiles, before.compiles);
+  }
 
   cache.setConfig(saved);
   cache.clear();

@@ -850,6 +850,36 @@ TEST(ExecCache, SecondRunHits) {
   EXPECT_EQ(cache.misses(), m0 + 1);
 }
 
+TEST(ExecCache, InPlaceEditWithoutInvalidateRelowers) {
+  // An edit that skips ProgramCache::invalidate() is caught by the hit's
+  // fingerprint revalidation: the next run relowers and sees the new IR.
+  ir::Module mod;
+  ir::FunctionBuilder b(mod, "f", {Type::F64}, Type::F64);
+  b.ret(b.fmul(b.param(0), b.constF(3)));
+  b.finish();
+  auto& cache = interp::ProgramCache::global();
+  auto runLowered = [&] {
+    psim::Machine m;
+    double out = 0;
+    m.run({1, 1}, [&](psim::RankEnv& env) {
+      interp::Interpreter it(mod, m, "exec");
+      out = it.run(mod.get("f"), {interp::RtVal::F(2)}, env).u.f;
+    });
+    return out;
+  };
+  EXPECT_EQ(runLowered(), 6.0);
+  std::uint64_t h0 = cache.hits(), m0 = cache.misses();
+  EXPECT_EQ(runLowered(), 6.0);
+  EXPECT_EQ(cache.hits(), h0 + 1);
+  for (ir::Inst& in : mod.get("f").body.insts)
+    if (in.op == ir::Op::ConstF) in.fconst = 5;
+  EXPECT_EQ(runLowered(), 10.0);
+  EXPECT_EQ(cache.misses(), m0 + 1);
+  EXPECT_EQ(runLowered(), 10.0);
+  EXPECT_EQ(cache.hits(), h0 + 2);
+  EXPECT_EQ(cache.misses(), m0 + 1);
+}
+
 TEST(ExecCache, PassRewriteBetweenRunsIsSafe) {
   // Regression for the old interpreter's defined-value cache, which was keyed
   // by Inst pointers and dangled when a pass reallocated instruction storage

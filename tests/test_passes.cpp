@@ -3,6 +3,7 @@
 // interaction with the AD engine (§V-E).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -11,8 +12,10 @@
 #include "src/apps/lulesh/lulesh.h"
 #include "src/apps/minibude/minibude.h"
 #include "src/frontends/omp/omp.h"
+#include "src/interp/lower.h"
 #include "src/io/store.h"
 #include "src/ir/printer.h"
+#include "src/passes/cloner.h"
 #include "src/passes/passes.h"
 #include "src/support/rng.h"
 #include "tests/test_util.h"
@@ -193,18 +196,27 @@ apps::lulesh::Config sweepLulesh(apps::lulesh::Config::Par par, bool mp,
   return c;
 }
 
+apps::minibude::Config sweepBude(apps::minibude::Config::Par par, bool mp,
+                                 bool jl) {
+  apps::minibude::Config c;
+  c.par = par;
+  c.mp = mp;
+  c.jliteMem = jl;
+  c.poses = 16;
+  c.ligAtoms = 4;
+  c.protAtoms = 8;
+  c.jlTasks = 4;
+  c.mpRanks = 4;
+  return c;
+}
+
 }  // namespace
 
 TEST(Passes, PipelineOutputMatchesGolden) {
   using LPar = apps::lulesh::Config::Par;
   const std::vector<bool> luleshActive{true, true, true, false, false, false};
-  apps::minibude::Config bude;
-  bude.par = apps::minibude::Config::Par::Omp;
-  bude.poses = 16;
-  bude.ligAtoms = 4;
-  bude.protAtoms = 8;
-  bude.jlTasks = 4;
-  bude.mpRanks = 4;
+  const apps::minibude::Config bude =
+      sweepBude(apps::minibude::Config::Par::Omp, false, false);
   auto lulesh = [](apps::lulesh::Config c) {
     return [c] { return apps::lulesh::build(c); };
   };
@@ -256,6 +268,112 @@ TEST(Passes, PipelineOutputMatchesGolden) {
               ir::print(mod.get(g.primal)));
     EXPECT_EQ(ir::print(viaPipeline.get(gi2.name)), ir::print(mod.get(gi.name)));
   }
+}
+
+namespace {
+
+// Rebuilds `fn` through a cloner that rewrites nothing and expects the same
+// printed IR and the same structural fingerprint (value types included).
+void expectIdentityRewriteIsANoOp(ir::Module& mod, const std::string& fn) {
+  const std::string before = ir::print(mod.get(fn));
+  const std::uint64_t fp = interp::fingerprint(mod.get(fn));
+  passes::rewriteFunction(
+      mod, fn, [](passes::Cloner&, const ir::Inst&) { return false; });
+  EXPECT_EQ(ir::print(mod.get(fn)), before);
+  EXPECT_EQ(interp::fingerprint(mod.get(fn)), fp);
+}
+
+}  // namespace
+
+// resolveIndirect, inlineCalls and lowerOmp skip their clone when the
+// function holds nothing they rewrite. That is the same program as the
+// clone only if cloning is the identity on their inputs: the app as built
+// (resolveIndirect's), the resolved function (inlineCalls') and the inlined
+// one (lowerOmp's), for every compile_sweep configuration.
+TEST(Passes, IdentityRewriteIsANoOp) {
+  using LPar = apps::lulesh::Config::Par;
+  using BPar = apps::minibude::Config::Par;
+  struct Case {
+    const char* name;
+    std::function<ir::Module()> build;
+    const char* primal;
+  };
+  auto lulesh = [](LPar par, bool mp, bool jl) {
+    apps::lulesh::Config c = sweepLulesh(par, mp, jl);
+    return [c] { return apps::lulesh::build(c); };
+  };
+  auto bude = [](BPar par, bool mp, bool jl) {
+    apps::minibude::Config c = sweepBude(par, mp, jl);
+    return [c] { return apps::minibude::build(c); };
+  };
+  const std::vector<Case> cases = {
+      {"lulesh_serial", lulesh(LPar::Serial, false, false), "lulesh"},
+      {"lulesh_omp", lulesh(LPar::Omp, false, false), "lulesh"},
+      {"lulesh_raja", lulesh(LPar::Raja, false, false), "lulesh"},
+      {"lulesh_jltasks", lulesh(LPar::JliteTasks, false, true), "lulesh"},
+      {"lulesh_mpi", lulesh(LPar::Serial, true, false), "lulesh"},
+      {"lulesh_hybrid", lulesh(LPar::Omp, true, false), "lulesh"},
+      {"lulesh_mpijl", lulesh(LPar::Serial, true, true), "lulesh"},
+      {"bude_omp", bude(BPar::Omp, false, false), "bude"},
+      {"bude_jltasks", bude(BPar::JliteTasks, false, true), "bude"},
+      {"bude_mpi", bude(BPar::Serial, true, false), "bude"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ir::Module mod = c.build();
+    expectIdentityRewriteIsANoOp(mod, c.primal);
+    passes::resolveIndirect(mod, c.primal);
+    expectIdentityRewriteIsANoOp(mod, c.primal);
+    passes::inlineCalls(mod, c.primal);
+    expectIdentityRewriteIsANoOp(mod, c.primal);
+  }
+}
+
+// Dead code elimination compacts each instruction list in place: dead and
+// live instructions alternate, at the top level and in a loop body, and the
+// survivors keep their order.
+TEST(Passes, CleanupKeepsSurvivorsInOrder) {
+  ir::Module mod;
+  std::vector<int> dead;
+  {
+    ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::Void);
+    Value p = b.param(0);
+    Value c0 = b.constI(0);
+    Value x = b.load(p, c0);
+    dead.push_back(b.fmul(x, x).id);
+    Value y = b.fadd(x, x);
+    dead.push_back(b.fsub(x, x).id);
+    Value z = b.fmul(y, x);
+    dead.push_back(b.fneg(y).id);
+    b.store(p, c0, z);
+    b.emitFor(c0, b.param(1), [&](Value i) {
+      Value a = b.load(p, i);
+      dead.push_back(b.fneg(a).id);
+      Value sq = b.fmul(a, a);
+      dead.push_back(b.fdiv(a, sq).id);
+      b.store(p, i, sq);
+    });
+    b.ret();
+    b.finish();
+  }
+  // Pre-order (op, result) of every instruction, less the dead ones.
+  using Trace = std::vector<std::pair<ir::Op, int>>;
+  std::function<void(const ir::Region&, Trace&)> walk =
+      [&](const ir::Region& r, Trace& out) {
+        for (const ir::Inst& in : r.insts) {
+          if (std::find(dead.begin(), dead.end(), in.result) != dead.end())
+            continue;
+          out.emplace_back(in.op, in.result);
+          for (const ir::Region& sub : in.regions) walk(sub, out);
+        }
+      };
+  Trace expected, after;
+  walk(mod.get("f").body, expected);
+  int before = countInsts(mod.get("f").body);
+  passes::cleanup(mod, "f");
+  EXPECT_EQ(countInsts(mod.get("f").body), before - (int)dead.size());
+  walk(mod.get("f").body, after);
+  EXPECT_EQ(after, expected);
 }
 
 TEST(Passes, OmpOptReducesAdCaching) {

@@ -50,6 +50,23 @@ std::function<void(ir::Module&)> servable(double c) {
   };
 }
 
+/// acc += x[i] * a + c over all i: two constants whose signs or scales can
+/// be edited together.
+std::function<void(ir::Module&)> affine(double a, double c) {
+  return [a, c](ir::Module& mod) {
+    ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::F64);
+    auto x = b.param(0);
+    auto acc = b.alloc(b.constI(1), Type::F64);
+    b.store(acc, b.constI(0), b.constF(0));
+    b.emitFor(b.constI(0), b.param(1), [&](Value i) {
+      auto t = b.fadd(b.fmul(b.load(x, i), b.constF(a)), b.constF(c));
+      b.store(acc, b.constI(0), b.fadd(b.load(acc, b.constI(0)), t));
+    });
+    b.ret(b.load(acc, b.constI(0)));
+    b.finish();
+  };
+}
+
 /// x[ftoi(x[0])] + sum x[i]^2 — the leading element is used as an index, so
 /// one poisoned input (x[0] far out of range) traps the whole run.
 void buildIndexed(ir::Module& mod) {
@@ -325,6 +342,36 @@ TEST(Serve, SameFingerprintTenantsShareProgramAndBatches) {
   EXPECT_EQ(svc.stats().coldCompiles, 2u);
   std::vector<double> want = oracleGrad(servable(9.5), inputFor(2, kN), 2.0);
   for (std::size_t k = 0; k < kN; ++k) EXPECT_EQ(c.gradient[k], want[k]);
+}
+
+TEST(Serve, ConstantSignAndScaleEditsAreNotShared) {
+  // Programs that differ only in the signs of two constants, or in two
+  // swapped power-of-two constants, are different tenants: sharing would
+  // answer one tenant with the other's gradient.
+  constexpr std::size_t kN = 4;
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.maxBatch = 1;
+  serve::GradientService svc(cfg);
+  const std::vector<std::pair<double, double>> consts = {
+      {2.0, 3.0}, {-2.0, -3.0}, {0.5, 2.0}, {2.0, 0.5}};
+  for (std::size_t k = 0; k < consts.size(); ++k)
+    svc.registerProgram("t" + std::to_string(k),
+                        affine(consts[k].first, consts[k].second), "f", kN);
+  for (std::size_t k = 0; k < consts.size(); ++k) {
+    SCOPED_TRACE(k);
+    serve::Request req;
+    req.program = "t" + std::to_string(k);
+    req.inputs = inputFor(int(k), kN);
+    serve::Response r = svc.call(req);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.coldCompile);
+    std::vector<double> want =
+        oracleGrad(affine(consts[k].first, consts[k].second), req.inputs, 1.0);
+    ASSERT_EQ(r.gradient.size(), kN);
+    for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(r.gradient[i], want[i]);
+  }
+  EXPECT_EQ(svc.stats().coldCompiles, consts.size());
 }
 
 // ---------------------------------------------------------------------------

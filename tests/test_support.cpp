@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -18,7 +22,9 @@
 #include "src/interp/codegen.h"
 #include "src/interp/lower.h"
 #include "src/io/store.h"
+#include "src/ir/builder.h"
 #include "src/psim/faults.h"
+#include "src/support/fnv.h"
 #include "src/support/knobs.h"
 #include "src/support/lru.h"
 #include "src/support/suggest.h"
@@ -163,8 +169,9 @@ TEST(Knobs, ReadmeTablesMatchTheKnobTables) {
 }
 
 // ---------------------------------------------------------------------------
-// Fingerprint values. Changing any of these invalidates on-disk checkpoint
-// epochs and codegen artifacts, so they are pinned bit for bit.
+// Fingerprint values, pinned bit for bit: a change to the byte hash
+// invalidates on-disk store records and checkpoint epochs, and a change to
+// the IR fingerprint renames every codegen artifact.
 
 TEST(Fingerprint, FnvOfFixedBytes) {
   const std::string text = "parad fnv-1a";
@@ -179,17 +186,158 @@ TEST(Fingerprint, FnvOfFixedBytes) {
 TEST(Fingerprint, AppFunctionsAndTheirClosures) {
   ir::Module lulesh = apps::lulesh::build(apps::lulesh::Config{});
   ir::Module bude = apps::minibude::build(apps::minibude::Config{});
-  EXPECT_EQ(interp::fingerprint(lulesh.get("lulesh")), 17695006480895092974ull);
-  EXPECT_EQ(interp::fingerprint(bude.get("bude")), 11304693426833195575ull);
+  EXPECT_EQ(interp::fingerprint(lulesh.get("lulesh")), 11346651789346025276ull);
+  EXPECT_EQ(interp::fingerprint(bude.get("bude")), 7713922580860394248ull);
   apps::lulesh::prepare(lulesh);
   apps::minibude::prepare(bude);
   // Closure fingerprints also hash the codegen generator version (now 4).
   EXPECT_EQ(interp::closureFingerprint(
                 *interp::compileClosure(lulesh, lulesh.get("lulesh"))),
-            413674374467826004ull);
+            2247010072605321932ull);
   EXPECT_EQ(interp::closureFingerprint(
                 *interp::compileClosure(bude, bude.get("bude"))),
-            5368220224312898149ull);
+            10920133873870976190ull);
+}
+
+namespace {
+
+// The first instruction of `r` (pre-order) with op `op`.
+ir::Inst* findOp(ir::Region& r, ir::Op op) {
+  for (ir::Inst& in : r.insts) {
+    if (in.op == op) return &in;
+    for (ir::Region& sub : in.regions)
+      if (ir::Inst* found = findOp(sub, op)) return found;
+  }
+  return nullptr;
+}
+
+double nanWithPayload(std::uint64_t payload) {
+  std::uint64_t bits = 0x7ff8000000000000ull | payload;
+  double d;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+}  // namespace
+
+// The fingerprint hashes one word per field; a change to any single field
+// that a pass can mutate must change it.
+TEST(Fingerprint, EveryFieldChangesTheHash) {
+  using ir::Op;
+  using ir::Type;
+  ir::Module mod;
+  {
+    ir::FunctionBuilder b(mod, "f", {Type::PtrF64, Type::I64}, Type::F64);
+    ir::Value p = b.param(0);
+    ir::Value zero = b.constF(0.0);
+    ir::Value nan = b.constF(nanWithPayload(1));
+    ir::Value k = b.constI(7);
+    b.emitFor(b.constI(0), b.param(1), [&](ir::Value i) {
+      b.store(p, i, b.fmul(b.load(p, i), b.fadd(zero, nan)));
+    });
+    b.ret(b.itof(k));
+    b.finish();
+  }
+  const ir::Function& base = mod.get("f");
+  const std::uint64_t fp = interp::fingerprint(base);
+  EXPECT_EQ(interp::fingerprint(base), fp);
+
+  struct Edit {
+    const char* what;
+    std::function<void(ir::Function&)> apply;
+  };
+  const std::vector<Edit> edits = {
+      {"op", [](ir::Function& f) { findOp(f.body, Op::FMul)->op = Op::FAdd; }},
+      {"result",
+       [](ir::Function& f) {
+         ir::Inst* in = findOp(f.body, Op::FMul);
+         in->result = in->operands[0];
+       }},
+      {"operand",
+       [](ir::Function& f) {
+         ir::Inst* in = findOp(f.body, Op::FMul);
+         in->operands[1] = in->operands[0];
+       }},
+      {"fconst 0.0 -> -0.0",
+       [](ir::Function& f) { findOp(f.body, Op::ConstF)->fconst = -0.0; }},
+      {"fconst NaN payload",
+       [](ir::Function& f) {
+         for (ir::Inst& in : f.body.insts)
+           if (in.op == Op::ConstF && std::isnan(in.fconst))
+             in.fconst = nanWithPayload(2);
+       }},
+      {"iconst",
+       [](ir::Function& f) { findOp(f.body, Op::ConstI)->iconst = 8; }},
+      {"sym", [](ir::Function& f) { findOp(f.body, Op::Store)->sym = "s"; }},
+      {"flags",
+       [](ir::Function& f) {
+         findOp(f.body, Op::Store)->flags = ir::kFlagShadowAlloc;
+       }},
+      {"region arg",
+       [](ir::Function& f) {
+         ir::Inst* loop = findOp(f.body, Op::For);
+         loop->regions[0].args[0] = loop->operands[0];
+       }},
+      {"region count",
+       [](ir::Function& f) {
+         findOp(f.body, Op::For)->regions.emplace_back();
+       }},
+      {"value type",
+       [](ir::Function& f) { f.valueTypes.back() = Type::I64; }},
+  };
+  for (const Edit& e : edits) {
+    SCOPED_TRACE(e.what);
+    ir::Function edited = base;
+    e.apply(edited);
+    EXPECT_NE(interp::fingerprint(edited), fp);
+  }
+}
+
+// A multiply carries a difference only upward, so the word step mixes each
+// word before it meets the state. Without that, two sign flips (two bit-63
+// changes) cancel exactly, and power-of-two constants differ only in the
+// top bits of the hash.
+TEST(Fingerprint, MultiWordEditsChangeTheHash) {
+  auto wordHash = [](const std::vector<double>& ws) {
+    Fnv1a f;
+    for (double w : ws) f.f64(w);
+    return f.h;
+  };
+  const std::vector<double> words = {1.0, 2.0, 3.0, 0.5, 4.0, 0.25, 8.0, 16.0};
+  const std::uint64_t h0 = wordHash(words);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    for (std::size_t j = i + 1; j < words.size(); ++j) {
+      SCOPED_TRACE(testing::Message() << "words " << i << ", " << j);
+      std::vector<double> flipped = words;
+      flipped[i] = -flipped[i];
+      flipped[j] = -flipped[j];
+      const std::uint64_t d = wordHash(flipped) ^ h0;
+      EXPECT_NE(d >> 32, 0u);
+      EXPECT_NE(d & 0xffffffffu, 0u);
+      std::vector<double> swapped = words;
+      std::swap(swapped[i], swapped[j]);
+      EXPECT_NE(wordHash(swapped), h0);
+    }
+  }
+
+  // The same edits on IR: f(x) = x * a + c.
+  auto fingerprints = [](double a, double c) {
+    ir::Module mod;
+    ir::FunctionBuilder b(mod, "f", {ir::Type::F64}, ir::Type::F64);
+    b.ret(b.fadd(b.fmul(b.param(0), b.constF(a)), b.constF(c)));
+    b.finish();
+    return std::pair{interp::fingerprint(mod.get("f")),
+                     interp::closureFingerprint(
+                         *interp::compileClosure(mod, mod.get("f")))};
+  };
+  const auto signs = fingerprints(2.0, 3.0);
+  const auto flippedSigns = fingerprints(-2.0, -3.0);
+  EXPECT_NE(signs.first, flippedSigns.first);
+  EXPECT_NE(signs.second, flippedSigns.second);
+  const auto scales = fingerprints(0.5, 2.0);
+  const auto swappedScales = fingerprints(2.0, 0.5);
+  EXPECT_NE(scales.first, swappedScales.first);
+  EXPECT_NE(scales.second, swappedScales.second);
 }
 
 // ---------------------------------------------------------------------------
